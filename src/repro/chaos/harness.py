@@ -885,8 +885,7 @@ def run_chaos_spec(params: dict) -> dict:
     the rest is forwarded to :func:`run_chaos_transfer`.
     """
     kwargs = dict(params)
-    plan = kwargs.pop("plan")
-    return result_to_dict(run_plan(plan, **kwargs))
+    return result_to_dict(run_plan(kwargs.pop("plan", None), **kwargs))
 
 
 def format_result(result: ChaosResult) -> str:

@@ -667,11 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "N trace events in each crash dump")
     chaos.set_defaults(func=cmd_chaos)
 
-    from repro.obs.runner import known_scenarios
+    from repro.scenarios import SCENARIOS
 
     trace = sub.add_parser(
         "trace", help="run a scenario with tracing/metrics enabled")
-    trace.add_argument("which", choices=known_scenarios())
+    trace.add_argument("which", choices=SCENARIOS)
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="export the trace events as JSON lines")
     trace.add_argument("--summary", action="store_true",
@@ -681,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--total", type=int, default=200_000,
                        help="transfer size in bytes")
     trace.add_argument("--loss", type=float, default=0.02,
-                       help="loss rate (experiment scenarios)")
+                       help="loss rate (scenarios with a loss_rate param)")
     trace.add_argument("--capacity", type=int, default=65536,
                        help="trace ring-buffer capacity in events")
     trace.add_argument("--filter", action="append", default=[],
@@ -693,12 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile", help="run a scenario under the hierarchical profiler")
-    profile.add_argument("which", choices=known_scenarios())
+    profile.add_argument("which", choices=SCENARIOS)
     profile.add_argument("--seed", type=int, default=1)
     profile.add_argument("--total", type=int, default=200_000,
                          help="transfer size in bytes")
     profile.add_argument("--loss", type=float, default=0.02,
-                         help="loss rate (experiment scenarios)")
+                         help="loss rate (scenarios with a loss_rate param)")
     profile.add_argument("--flame", default=None, metavar="PATH",
                          help="write collapsed-stack text (flamegraph.pl "
                               "/ speedscope input) to PATH")

@@ -1,9 +1,9 @@
 """Run one scenario with observability enabled; collect trace + metrics.
 
 This is the engine behind ``python -m repro trace <scenario>``: it turns
-the global observability switchboard on, runs a named scenario -- one of
-the protocol experiments (E7-E9) or any chaos plan -- and hands back the
-captured trace events, the metrics snapshot, and a rendered summary.
+the global observability switchboard on, runs a scenario from the
+registry (:mod:`repro.scenarios`) by name, and hands back the captured
+trace events, the metrics snapshot, and a rendered summary.
 
 The runner owns the enable/disable lifecycle so callers can never leak
 an enabled tracer into code that did not ask for one; metrics and the
@@ -13,22 +13,11 @@ ring buffer are reset on entry so each run's data stands alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.obs.schema import CORE_COMPONENTS
 from repro.obs.trace import TraceEvent, component_tally, format_component_tally
-
-#: The protocol experiments the runner knows how to drive.
-EXPERIMENT_SCENARIOS = ("cc-division", "ack-reduction", "retransmission")
-
-
-def known_scenarios() -> tuple[str, ...]:
-    """Every name :func:`run_traced` accepts (experiments + chaos plans)."""
-    from repro.chaos import PLANS
-
-    return EXPERIMENT_SCENARIOS + tuple(sorted(PLANS))
+from repro.scenarios import lookup
 
 
 @dataclass
@@ -42,16 +31,18 @@ class TraceRunResult:
     events_dropped: int
     metrics: dict
     metrics_text: str
-    outcome: Any
+    outcome: dict
+    #: Components the scenario must produce events from.
+    expected: tuple[str, ...]
 
     def components(self) -> dict[str, int]:
         """Event counts by component prefix (link/transport/quack/...)."""
         return component_tally(self.events)
 
     def missing_core_components(self) -> list[str]:
-        """Core components that produced no events (should be empty)."""
+        """Expected components that produced no events (should be empty)."""
         present = self.components()
-        return [name for name in CORE_COMPONENTS if not present.get(name)]
+        return [name for name in self.expected if not present.get(name)]
 
 
 def run_traced(scenario: str, *, seed: int = 1,
@@ -61,26 +52,24 @@ def run_traced(scenario: str, *, seed: int = 1,
                allocations: bool = False) -> TraceRunResult:
     """Run ``scenario`` with tracing/metrics/profiling enabled.
 
-    ``scenario`` is an experiment name (``cc-division``,
-    ``ack-reduction``, ``retransmission``) or a chaos plan name
-    (``blackout``, ``corruption``, ...).  ``allocations`` additionally
+    ``scenario`` is any name in :data:`repro.scenarios.SCENARIOS`.
+    ``total_bytes`` and ``loss`` reach only the scenarios that take a
+    ``total_bytes`` / ``loss_rate`` param.  ``allocations`` additionally
     tracks per-span allocation deltas via ``tracemalloc`` (slow; only
     for ``repro profile --alloc``).  Observability is switched off
     again before returning, whatever happens inside the scenario.
     """
-    from repro.chaos import PLANS, run_plan
-
-    if scenario not in EXPERIMENT_SCENARIOS and scenario not in PLANS:
-        raise ObservabilityError(
-            f"unknown scenario {scenario!r}; have "
-            f"{', '.join(known_scenarios())}")
+    entry = lookup(scenario, ObservabilityError)
+    params = {"seed": seed}
+    for name, value in (("total_bytes", total_bytes), ("loss_rate", loss)):
+        if entry.takes(name):
+            params[name] = value
 
     obs.reset()
     sink = obs.enable(capacity=capacity, profile=profile,
                       allocations=allocations)
     try:
-        outcome = _run_scenario(scenario, seed=seed, total_bytes=total_bytes,
-                                loss=loss, run_plan=run_plan, plans=PLANS)
+        outcome = entry.run(params)
     finally:
         obs.disable()
     return TraceRunResult(
@@ -92,27 +81,8 @@ def run_traced(scenario: str, *, seed: int = 1,
         metrics=obs.METRICS.snapshot(),
         metrics_text=obs.METRICS.render_text(),
         outcome=outcome,
+        expected=entry.components,
     )
-
-
-def _run_scenario(scenario: str, *, seed: int, total_bytes: int, loss: float,
-                  run_plan, plans) -> Any:
-    if scenario in plans:
-        return run_plan(scenario, seed=seed, total_bytes=total_bytes)
-    if scenario == "cc-division":
-        from repro.sidecar.cc_division import run_cc_division
-
-        return run_cc_division(total_bytes=total_bytes, loss_rate=loss,
-                               sidecar=True, seed=seed)
-    if scenario == "ack-reduction":
-        from repro.sidecar.ack_reduction import run_ack_reduction
-
-        return run_ack_reduction(total_bytes=total_bytes, loss_rate=loss,
-                                 sidecar=True, seed=seed)
-    from repro.sidecar.retransmission import run_retransmission
-
-    return run_retransmission(total_bytes=total_bytes, loss_rate=loss,
-                              innet_retx=True, seed=seed)
 
 
 def summarize(result: TraceRunResult) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass
 
 from repro import obs
@@ -553,7 +554,7 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
     table = FlowTable(sim, config)
     rng = random.Random(seed)
     records: list[FlowRecord] = []
-    live: list[FlowRecord] = []
+    live: deque[FlowRecord] = deque()  # admission order; oldest churns first
     flow_seq = 0
 
     def admit_one() -> None:
@@ -584,10 +585,10 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
         state["churn_carry"] -= replace
         for _ in range(replace):
             while live and not live[0].live:
-                live.pop(0)
+                live.popleft()
             if not live:
                 break
-            table.close_flow(live.pop(0))
+            table.close_flow(live.popleft())
             admit_one()
         state["tick"] += 1
         if state["tick"] < ticks:

@@ -38,8 +38,7 @@ from repro.sweep.artifact import (
     load_aggregate_dict,
     strip_timing,
 )
-from repro.sweep.runner import default_workers, run_sweep
-from repro.sweep.scenarios import SCENARIOS, known_scenarios, run_cell
+from repro.sweep.runner import default_workers, run_cell, run_sweep
 from repro.sweep.spec import (
     SWEEP_SCHEMA_VERSION,
     SweepCell,
@@ -53,5 +52,5 @@ __all__ = [
     "strip_timing", "load_aggregate_dict", "completed_results",
     "format_aggregate",
     "run_sweep", "default_workers",
-    "SCENARIOS", "known_scenarios", "run_cell",
+    "run_cell",
 ]

@@ -52,8 +52,8 @@ from repro.sweep.artifact import (
     SweepAggregate,
     completed_results,
 )
-from repro.errors import SweepSpecError
-from repro.sweep.scenarios import known_scenarios, run_cell
+from repro.errors import SweepError, SweepSpecError
+from repro.scenarios import lookup
 from repro.sweep.spec import SweepCell, SweepSpec
 
 #: Longest the collection loop sleeps between bookkeeping passes.
@@ -63,6 +63,21 @@ _POLL_S = 0.05
 def default_workers() -> int:
     """Worker count when the spec and CLI are silent: one per CPU."""
     return max(1, os.cpu_count() or 1)
+
+
+def run_cell(scenario: str, params: Mapping, seed: int,
+             attempt: int = 0) -> dict:
+    """Run one cell's scenario from the registry.
+
+    The derived cell seed is injected unless the spec pins one, and the
+    attempt number reaches the scenarios that take one (``selftest``).
+    """
+    entry = lookup(scenario, SweepError)
+    merged = dict(params)
+    merged.setdefault("seed", seed)
+    if entry.takes("attempt"):
+        merged.setdefault("attempt", attempt)
+    return entry.run(merged)
 
 
 def _execute_cell(scenario: str, params: dict, seed: int,
@@ -150,11 +165,8 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None,
     merged block identical across worker counts.
     """
     started = time.perf_counter()
-    if spec.scenario not in known_scenarios():
-        # Catch this before burning per-cell retries on a typo.
-        raise SweepSpecError(
-            f"unknown sweep scenario {spec.scenario!r}; have "
-            f"{', '.join(known_scenarios())}")
+    # Catch an unknown scenario before burning per-cell retries on it.
+    lookup(spec.scenario, SweepSpecError)
     stamp = _datetime.datetime.now(_datetime.timezone.utc).isoformat(
         timespec="seconds")
     effective_workers = workers if workers is not None \

@@ -1,9 +1,9 @@
 """Declarative sweep specs and their expansion into seeded cells.
 
-A *sweep spec* describes a scenario matrix: one scenario (an E7-E9
-protocol experiment, a chaos plan, or the engine's self-test scenario),
-a dict of fixed ``base`` parameters, and a ``grid`` of axes whose
-cartesian product generates the cells.  The JSON form::
+A *sweep spec* describes a scenario matrix: one scenario (any name in
+:data:`repro.scenarios.SCENARIOS`), a dict of fixed ``base``
+parameters, and a ``grid`` of axes whose cartesian product generates
+the cells.  The JSON form::
 
     {
       "schema": 1,

@@ -158,6 +158,10 @@ class SenderConnection:
         self.acked_offsets = RangeSet()
         self.assigned_offsets = RangeSet()  # chunks this subflow owns
         self.bytes_in_flight = 0
+        #: Sent packets neither acked nor declared lost.  A quACK release
+        #: takes a packet out of bytes_in_flight before its fate is
+        #: known, so the PTO must watch this count instead.
+        self._unresolved = 0
         self.stats = SenderStats()
         self.completed_at: float | None = None
 
@@ -408,6 +412,7 @@ class SenderConnection:
         if length > 0:
             self.assigned_offsets.add_range(offset, offset + length - 1)
         self.bytes_in_flight += size
+        self._unresolved += 1
         self.stats.packets_sent += 1
         self.stats.bytes_sent += size
         if is_retransmission:
@@ -456,6 +461,8 @@ class SenderConnection:
                 if record is None or record.acked:
                     continue
                 record.acked = True
+                if not record.lost:
+                    self._unresolved -= 1
                 newly_acked.append(record)
         if newly_acked:
             largest = max(newly_acked, key=lambda r: r.packet_number)
@@ -523,6 +530,7 @@ class SenderConnection:
     def _declare_lost(self, record: SentPacketRecord, now: float,
                       congestion: bool, trigger: str = "reorder") -> None:
         record.lost = True
+        self._unresolved -= 1
         self.stats.losses_detected += 1
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.loss", now, flow=self.flow_id,
@@ -549,7 +557,7 @@ class SenderConnection:
     # -- PTO ---------------------------------------------------------------------
 
     def _arm_pto(self) -> None:
-        if self.complete or self.bytes_in_flight == 0:
+        if self.complete or self._unresolved == 0:
             self._pto_timer.cancel()
             return
         interval = self.rtt.pto_interval(self.max_ack_delay,

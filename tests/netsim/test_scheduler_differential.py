@@ -31,9 +31,14 @@ from repro import obs
 from repro.chaos import PLANS
 from repro.netsim.core import set_default_scheduler
 from repro.obs.aggregate import mergeable_snapshot
-from repro.obs.runner import EXPERIMENT_SCENARIOS, run_traced
+from repro.obs.runner import run_traced
 from repro.obs.trace import dump_jsonl
+from repro.scenarios import SCENARIOS
 from repro.sweep import SweepSpec, run_sweep, strip_timing
+
+#: The protocol experiments (E7-E9): the scenarios that take a loss rate.
+EXPERIMENTS = [name for name, scenario in SCENARIOS.items()
+               if scenario.takes("loss_rate")]
 
 SWEEP_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                          "examples", "sweeps")
@@ -81,7 +86,7 @@ def _assert_schedulers_agree(scenario: str, **kwargs) -> None:
 class TestSeedScenarios:
     """Every protocol experiment, traced under both backends."""
 
-    @pytest.mark.parametrize("scenario", EXPERIMENT_SCENARIOS)
+    @pytest.mark.parametrize("scenario", EXPERIMENTS)
     def test_trace_and_telemetry_byte_identical(self, scenario):
         _assert_schedulers_agree(scenario, seed=1, total_bytes=60_000)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.obs.runner import known_scenarios, run_traced, summarize
+from repro.obs.runner import run_traced, summarize
 from repro.obs.schema import validate_file, validate_record
 
 
@@ -23,11 +23,6 @@ class TestRunTraced:
         with pytest.raises(ObservabilityError, match="unknown scenario"):
             run_traced("nope")
 
-    def test_known_scenarios_lists_experiments_and_plans(self):
-        names = known_scenarios()
-        assert "cc-division" in names
-        assert "blackout" in names
-
     def test_experiment_covers_all_core_components(self):
         result = run_traced("cc-division", seed=1, total_bytes=60_000)
         assert result.missing_core_components() == []
@@ -39,7 +34,7 @@ class TestRunTraced:
     def test_chaos_plan_scenario(self):
         result = run_traced("blackout", seed=1, total_bytes=60_000)
         assert result.missing_core_components() == []
-        assert result.outcome.ok
+        assert result.outcome["ok"]
 
     def test_ring_capacity_bounds_memory(self):
         result = run_traced("cc-division", seed=1, total_bytes=60_000,

@@ -131,3 +131,25 @@ class TestInNetworkRetransmission:
     def test_quacks_flowed_and_adapted(self, results):
         _, local, _ = results
         assert local.proxy_quacks > 0
+
+
+class TestReleasedPacketLostDownstream:
+    """Seeds where a quACK-released packet is then lost past the proxy.
+
+    The release takes the packet out of bytes_in_flight before its fate
+    is known; the sender must keep its PTO armed until the packet is
+    acked or declared lost, or the transfer stalls for good.
+    """
+
+    FULL = 1_500_000
+
+    @pytest.mark.parametrize("run", [
+        lambda total: run_cc_division(total_bytes=total, sidecar=True, seed=2),
+        lambda total: run_ack_reduction(total_bytes=total, ack_every=32,
+                                        sidecar=True, seed=38),
+    ], ids=["cc-division-seed2", "ack-reduction-seed38"])
+    def test_transfer_completes_with_every_byte(self, run):
+        result = run(self.FULL)
+        assert result.completed
+        delivered = round(result.goodput_bps * result.completion_time / 8)
+        assert delivered == self.FULL

@@ -228,6 +228,26 @@ class TestSidecarHooks:
         assert sender.stats.sidecar_losses == 1
         assert sender.stats.retransmitted_packets >= 1
 
+    def test_released_then_lost_tail_is_recovered_by_pto(self):
+        # A quACK from the mid-path router releases the tail packet from
+        # the window; the packet is then lost on the second hop.  The
+        # ACKs for the rest leave nothing in bytes_in_flight, and only
+        # a PTO that is still armed can recover the tail.
+        sim, sender, receiver, _ = make_pair(
+            total_bytes=1460 * 4,
+            hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01),
+                  HopSpec(bandwidth_bps=10e6, delay_s=0.01,
+                          loss_up=DeterministicLoss({3}))])
+        sender.start()
+        sim.run(until=0.015)
+        sender.sidecar_receipt([3])
+        assert sender.stats.sidecar_releases == 1
+        sim.run(until=10)
+        assert sender.stats.pto_fired >= 1
+        assert sender.stats.retransmitted_packets >= 1
+        assert sender.complete and receiver.complete
+        assert receiver.stats.bytes_received == 1460 * 4
+
     def test_cc_from_acks_false_freezes_window_growth(self):
         sim, sender, receiver, _ = make_pair(
             total_bytes=500_000, sender_kwargs={"cc_from_acks": False})
