@@ -302,10 +302,6 @@ def _run_transfer_loop(sim: Simulator, sender: SenderConnection,
     return sender.complete and receiver.complete
 
 
-#: Memoized unassisted-baseline durations, keyed by the transfer shape.
-_BASELINE_CACHE: dict[tuple, float] = {}
-
-
 def unassisted_baseline(total_bytes: int, bandwidth_bps: float,
                         delay_s: float, deadline_s: float = 60.0) -> float:
     """Duration of the same transfer with no sidecar (and no faults).
@@ -313,13 +309,9 @@ def unassisted_baseline(total_bytes: int, bandwidth_bps: float,
     The adversarial plans attack only the sidecar channel, which an
     unassisted connection does not have, so this is the floor the
     defense must hold: assistance under attack may never complete later
-    than never having had assistance at all.  Deterministic, so the
-    result is memoized per transfer shape.
+    than never having had assistance at all.  Computed on every call, so
+    a cell's telemetry counts the same simulations in any process.
     """
-    key = (total_bytes, bandwidth_bps, delay_s, deadline_s)
-    cached = _BASELINE_CACHE.get(key)
-    if cached is not None:
-        return cached
     reset_packet_uids()
     sim = Simulator()
     server = Host(sim, "server")
@@ -332,7 +324,6 @@ def unassisted_baseline(total_bytes: int, bandwidth_bps: float,
     sender = SenderConnection(sim, server, "client", total_bytes)
     sender.start()
     _run_transfer_loop(sim, sender, receiver, deadline_s)
-    _BASELINE_CACHE[key] = sim.now
     return sim.now
 
 
@@ -370,8 +361,8 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         defense = DefenseConfig()
     baseline_duration = None
     if defense is not None or setup.measure_baseline:
-        # Measured first (and memoized) so the packet-uid reset below
-        # keeps the main run byte-identical with or without a baseline.
+        # Measured first so the packet-uid reset below keeps the main
+        # run byte-identical with or without a baseline.
         baseline_duration = unassisted_baseline(
             total_bytes, bandwidth_bps, delay_s, deadline_s)
     reset_packet_uids()

@@ -28,6 +28,8 @@ ACK-frequency updates from the sender.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,6 +40,7 @@ from repro.netsim.core import EventHandle, Simulator
 from repro.netsim.node import Host
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.trace import FlowMonitor
+from repro.obs import PROFILER
 from repro.transport.ack import AckFrequencyPolicy, AckTracker
 from repro.transport.cc.base import CongestionController
 from repro.transport.cc.newreno import NewReno
@@ -158,10 +161,14 @@ class SenderConnection:
         self.acked_offsets = RangeSet()
         self.assigned_offsets = RangeSet()  # chunks this subflow owns
         self.bytes_in_flight = 0
-        #: Sent packets neither acked nor declared lost.  A quACK release
-        #: takes a packet out of bytes_in_flight before its fate is
-        #: known, so the PTO must watch this count instead.
-        self._unresolved = 0
+        #: Packet numbers not yet acked, ascending.  Declared-lost packets
+        #: stay: a late ACK still credits them.  An ACK range bisects in
+        #: here and visits only what it newly acks (DESIGN.md §15).
+        self._unacked: list[int] = []
+        #: Records neither acked nor declared lost, in packet-number
+        #: order.  A quACK release takes a packet out of bytes_in_flight
+        #: before its fate is known, so the PTO must watch this instead.
+        self._outstanding: dict[int, SentPacketRecord] = {}
         self.stats = SenderStats()
         self.completed_at: float | None = None
 
@@ -172,7 +179,7 @@ class SenderConnection:
         #: time between the original transmission and the declaration,
         #: and the lost packet's trace-context id (None untraced) so the
         #: retransmission's span links to its parent.
-        self._retx_queue: list[tuple[int, int, str, float, int | None]] = []
+        self._retx_queue: deque[tuple[int, int, str, float, int | None]] = deque()
         self._pacing_handle: EventHandle | None = None
         self._next_send_allowed = 0.0
         # One reusable timer carries every PTO arm for the connection's
@@ -362,7 +369,7 @@ class SenderConnection:
         so analysis never has to re-infer causality from event ordering).
         """
         if self._retx_queue:
-            offset, length, cause, latency, parent_ctx = self._retx_queue.pop(0)
+            offset, length, cause, latency, parent_ctx = self._retx_queue.popleft()
             return offset, length, (cause, latency, parent_ctx)
         if self.chunk_source is not None:
             chunk = self.chunk_source.next_chunk()
@@ -381,7 +388,7 @@ class SenderConnection:
                          retx: tuple[str, float, int | None] | None) -> None:
         """Return an unsent chunk to the front of its queue."""
         if retx is not None:
-            self._retx_queue.insert(0, (offset, length, *retx))
+            self._retx_queue.appendleft((offset, length, *retx))
         elif self.chunk_source is not None:
             self.chunk_source.push_back(offset, length)
         else:
@@ -409,10 +416,11 @@ class SenderConnection:
             is_retransmission=is_retransmission,
         )
         self.sent[pn] = record
+        self._unacked.append(pn)
+        self._outstanding[pn] = record
         if length > 0:
             self.assigned_offsets.add_range(offset, offset + length - 1)
         self.bytes_in_flight += size
-        self._unresolved += 1
         self.stats.packets_sent += 1
         self.stats.bytes_sent += size
         if is_retransmission:
@@ -452,18 +460,21 @@ class SenderConnection:
         frame = packet.protected_payload(self.key)
         if not isinstance(frame, AckFrame):
             raise TransportError(f"expected AckFrame, got {type(frame).__name__}")
+        started = PROFILER.begin("transport.on_ack")
         self.stats.acks_received += 1
         now = self.sim.now
+        sent, unacked, outstanding = self.sent, self._unacked, self._outstanding
         newly_acked: list[SentPacketRecord] = []
         for lo, hi in frame.ranges:
-            for pn in range(lo, hi + 1):
-                record = self.sent.get(pn)
-                if record is None or record.acked:
-                    continue
+            first = bisect_left(unacked, lo)
+            stop = bisect_right(unacked, hi, first)
+            for pn in unacked[first:stop]:
+                record = sent[pn]
                 record.acked = True
                 if not record.lost:
-                    self._unresolved -= 1
+                    del outstanding[pn]
                 newly_acked.append(record)
+            del unacked[first:stop]
         if newly_acked:
             largest = max(newly_acked, key=lambda r: r.packet_number)
             if (self._largest_acked is None
@@ -502,6 +513,8 @@ class SenderConnection:
                       flow=self.flow_id)
         self._check_completion()
         self._maybe_send()
+        if started:
+            PROFILER.end("transport.on_ack", started)
 
     def _congestion_from_largest(self, now: float) -> None:
         if self._largest_acked is not None:
@@ -511,26 +524,31 @@ class SenderConnection:
 
     def _detect_losses(self, now: float) -> None:
         """Packet-threshold and time-threshold loss detection."""
-        if self._largest_acked is None:
+        largest = self._largest_acked
+        if largest is None:
             return
+        started = PROFILER.begin("transport.detect_losses")
         time_threshold = self.rtt.loss_time_threshold()
-        for pn in sorted(self.sent):
-            if pn >= self._largest_acked:
+        doomed: list[tuple[SentPacketRecord, str]] = []
+        for pn, record in self._outstanding.items():
+            if pn >= largest:
                 break
-            record = self.sent[pn]
-            if record.acked or record.lost:
-                continue
-            reordered_out = self._largest_acked - pn >= self.reorder_threshold
-            too_old = now - record.time_sent >= time_threshold
-            if reordered_out or too_old:
-                self._declare_lost(record, now, congestion=self.cc_from_acks,
-                                   trigger="reorder" if reordered_out
-                                   else "time")
+            if largest - pn >= self.reorder_threshold:
+                doomed.append((record, "reorder"))
+            elif now - record.time_sent >= time_threshold:
+                doomed.append((record, "time"))
+        # Declared after the walk: declaring drops a record from
+        # _outstanding, which the walk is iterating.
+        for record, trigger in doomed:
+            self._declare_lost(record, now, congestion=self.cc_from_acks,
+                               trigger=trigger)
+        if started:
+            PROFILER.end("transport.detect_losses", started)
 
     def _declare_lost(self, record: SentPacketRecord, now: float,
                       congestion: bool, trigger: str = "reorder") -> None:
         record.lost = True
-        self._unresolved -= 1
+        del self._outstanding[record.packet_number]
         self.stats.losses_detected += 1
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.loss", now, flow=self.flow_id,
@@ -557,7 +575,7 @@ class SenderConnection:
     # -- PTO ---------------------------------------------------------------------
 
     def _arm_pto(self) -> None:
-        if self.complete or self._unresolved == 0:
+        if self.complete or not self._outstanding:
             self._pto_timer.cancel()
             return
         interval = self.rtt.pto_interval(self.max_ack_delay,
@@ -574,10 +592,8 @@ class SenderConnection:
                             backoff=self._pto_backoff)
             obs.count("transport_pto_fired_total", flow=self.flow_id)
         # Probe: retransmit the earliest outstanding un-acked range.
-        outstanding = sorted(
-            (r for r in self.sent.values() if not r.acked and not r.lost),
-            key=lambda r: r.offset,
-        )
+        outstanding = sorted(self._outstanding.values(),
+                             key=lambda r: r.offset)
         for record in outstanding[:2]:
             self._declare_lost(record, self.sim.now, congestion=False,
                                trigger="pto")

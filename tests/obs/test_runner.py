@@ -54,6 +54,12 @@ class TestRunTraced:
         assert "quack.power_sum_update" in spans
         assert "quack.wire_encode" in spans and "quack.wire_decode" in spans
 
+    def test_transport_ack_spans_recorded(self):
+        result = run_traced("retransmission", seed=1, total_bytes=60_000)
+        spans = {entry["labels"]["span"]
+                 for entry in result.metrics["obs_span_seconds"]["series"]}
+        assert {"transport.on_ack", "transport.detect_losses"} <= spans
+
     def test_jsonl_export_validates(self, tmp_path):
         result = run_traced("ack-reduction", seed=2, total_bytes=60_000)
         path = tmp_path / "trace.jsonl"

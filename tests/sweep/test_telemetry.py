@@ -6,6 +6,7 @@ them all -- deterministically, regardless of worker count.
 """
 
 import json
+import os
 
 import pytest
 
@@ -13,6 +14,10 @@ from repro import obs
 from repro.obs.aggregate import select_series
 from repro.sweep import SweepSpec, run_sweep, strip_timing
 from repro.sweep.artifact import CellOutcome
+
+ADVERSARY_GRID = os.path.join(os.path.dirname(__file__), os.pardir,
+                              os.pardir, "examples", "sweeps",
+                              "adversary_grid.json")
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +75,23 @@ class TestDeterminism:
             == strip_timing(parallel.to_dict())
         assert json.dumps(serial.telemetry, sort_keys=True) \
             == json.dumps(parallel.telemetry, sort_keys=True)
+
+    def test_adversary_grid_telemetry_identical_across_worker_counts(self):
+        # Defense-armed plans also run an unassisted baseline transfer.
+        # A serial sweep must count that simulation in every cell, just
+        # as separate worker processes do.
+        with open(ADVERSARY_GRID) as handle:
+            record = json.load(handle)
+        record["grid"]["plan"] = record["grid"]["plan"][:2]
+        record["base"]["total_bytes"] = 1460 * 60
+        spec = SweepSpec.from_dict(record)
+        serial = run_sweep(spec, workers=1, telemetry=True)
+        parallel = run_sweep(spec, workers=4, telemetry=True)
+        assert serial.ok and parallel.ok
+        assert json.dumps(serial.telemetry, sort_keys=True) \
+            == json.dumps(parallel.telemetry, sort_keys=True)
+        assert [cell.telemetry for cell in serial.cells] \
+            == [cell.telemetry for cell in parallel.cells]
 
 
 class TestBenchStoreFlattening:
