@@ -25,7 +25,7 @@ from repro.netsim import (
     Simulator,
     build_parallel_paths,
 )
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.multipath import MultipathTransfer, PathSpec
 
@@ -49,9 +49,9 @@ def run(with_sidecars: bool):
     sidecars = []
     if with_sidecars:
         for proxy, subflow in zip((p0, p1), transfer.subflows):
-            ProxyEmitterTap(sim, proxy, server="server", client="client",
-                            flow_id=subflow.flow_id,
-                            policy=PacketCountFrequency(4), threshold=16)
+            EmitterAgent(sim, proxy, "server", subflow.flow_id,
+                         PacketCountFrequency(4), client="client",
+                         threshold=16)
             sidecars.append(ServerSidecar(sim, subflow.sender, threshold=16,
                                           grace=2, apply_losses=False))
     transfer.start()

@@ -1,7 +1,7 @@
 """The chaos harness: scripted adverse scenarios with invariant checks.
 
 One canonical assisted transfer -- server -> proxy -> client with a
-:class:`~repro.sidecar.agents.ProxyEmitterTap` quACKing back to a
+:class:`~repro.sidecar.agents.EmitterAgent` on the proxy quACKing to a
 :class:`~repro.sidecar.agents.ServerSidecar` -- runs under a
 :class:`ChaosSetup`: fault injectors on the sidecar channel plus
 scheduled middlebox crashes.  The harness collects everything a
@@ -63,7 +63,7 @@ from repro.netsim.faults import (
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import reset_packet_uids
 from repro.netsim.topology import HopSpec, PathTopology, build_path
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.defense import DefenseConfig
 from repro.sidecar.flowtable import FlowTable, FlowTableTap
 from repro.sidecar.frequency import PacketCountFrequency
@@ -388,31 +388,22 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         emitter_negotiate = NegotiateConfig(
             capabilities=setup.emitter_capabilities or Capabilities())
     table = None
+    emitter_args = dict(
+        client="client", threshold=threshold, checkpoints=checkpoints,
+        checkpoint_interval_s=setup.checkpoint_interval_s
+        if setup.checkpoint_interval_s is not None else 0.05,
+        negotiate=emitter_negotiate)
     if setup.overload is not None:
         # The primary transfer shares one flow table with the overload
         # drivers' tenants; its emission rides the table's batch timer.
         table = FlowTable(sim, setup.overload.table_config())
-        tap = FlowTableTap(sim, proxy, server="server", client="client",
-                           flow_id="flow0",
-                           policy=PacketCountFrequency(quack_every),
-                           table=table,
+        tap = FlowTableTap(sim, proxy, "server", "flow0",
+                           PacketCountFrequency(quack_every), table=table,
                            tenant=setup.overload.primary_tenant,
-                           threshold=threshold,
-                           checkpoints=checkpoints,
-                           checkpoint_interval_s=setup.checkpoint_interval_s
-                           if setup.checkpoint_interval_s is not None
-                           else 0.05,
-                           negotiate=emitter_negotiate)
+                           **emitter_args)
     else:
-        tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                              flow_id="flow0",
-                              policy=PacketCountFrequency(quack_every),
-                              threshold=threshold,
-                              checkpoints=checkpoints,
-                              checkpoint_interval_s=setup.checkpoint_interval_s
-                              if setup.checkpoint_interval_s is not None
-                              else 0.05,
-                              negotiate=emitter_negotiate)
+        tap = EmitterAgent(sim, proxy, "server", "flow0",
+                           PacketCountFrequency(quack_every), **emitter_args)
     sidecar = ServerSidecar(sim, sender, threshold=threshold, grace=2,
                             apply_losses=True, congestive_loss=False,
                             reset_after_failures=reset_after_failures,

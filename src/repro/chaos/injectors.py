@@ -59,9 +59,9 @@ def sidecar_corrupter(packet: Packet, rng: random.Random) -> Packet | None:
 class MiddleboxCrash:
     """Crash/restart a quACK emitter agent at scheduled times.
 
-    ``agent`` is anything with a ``crash_restart()`` method
-    (:class:`~repro.sidecar.agents.ProxyEmitterTap` or
-    :class:`~repro.sidecar.agents.HostEmitterAgent`).  Each crash wipes
+    ``agent`` is anything with a ``crash_restart()`` method (an
+    :class:`~repro.sidecar.agents.EmitterAgent` on a host or a router,
+    or a flow-table tap).  Each crash wipes
     the accumulator and resets the epoch to zero; the consumer side must
     detect the regression and heal with an implicit reset.
     """

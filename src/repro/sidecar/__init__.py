@@ -10,12 +10,15 @@ The three protocols of the paper's Table 1, built on the quACK:
 
 plus the shared session machinery:
 
+* :class:`~repro.sidecar.agents.EmitterAgent` -- the one quACK emitter
+  agent, bound to a host (the client-side library) or to a router (a
+  proxy sidecar), and :class:`~repro.sidecar.agents.ServerSidecar` --
+  the server-side library that consumes its quACKs;
 * :class:`~repro.sidecar.emitter.QuackEmitter` /
   :class:`~repro.sidecar.consumer.QuackConsumer` -- the receiver-side and
-  sender-side quACK state of Sections 3.2-3.3;
+  sender-side quACK state of Sections 3.2-3.3 those agents drive;
 * frequency policies (Section 4.3) in :mod:`repro.sidecar.frequency`;
 * wire messages in :mod:`repro.sidecar.protocol`;
-* host/proxy agents in :mod:`repro.sidecar.agents`;
 * the graceful-degradation ladder in :mod:`repro.sidecar.health`;
 * adversarial plausibility gates and quarantine in
   :mod:`repro.sidecar.defense`;
@@ -25,8 +28,7 @@ plus the shared session machinery:
 from repro.sidecar.ack_reduction import AckReductionResult, run_ack_reduction
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
-    HostEmitterAgent,
-    ProxyEmitterTap,
+    EmitterAgent,
     ServerSidecar,
 )
 from repro.sidecar.cc_division import (
@@ -70,7 +72,6 @@ from repro.sidecar.protocol import (
     resume_packet,
 )
 from repro.sidecar.retransmission import (
-    ReceiverSideRetxProxy,
     RetransmissionResult,
     SenderSideRetxProxy,
     run_retransmission,
@@ -115,12 +116,10 @@ __all__ = [
     "HealthMonitor",
     "HealthState",
     "HealthTransition",
-    "HostEmitterAgent",
+    "EmitterAgent",
     "ServerSidecar",
-    "ProxyEmitterTap",
     "PacingProxy",
     "SenderSideRetxProxy",
-    "ReceiverSideRetxProxy",
     "run_cc_division",
     "run_ack_reduction",
     "run_retransmission",

@@ -33,7 +33,7 @@ from repro.netsim.packet import reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
-    ProxyEmitterTap,
+    EmitterAgent,
     ServerSidecar,
 )
 from repro.sidecar.frequency import PacketCountFrequency
@@ -108,12 +108,12 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
     sender = SenderConnection(sim, server, "client", total_bytes,
                               flow_id=flow_id)
 
-    proxy_tap: ProxyEmitterTap | None = None
+    proxy_tap: EmitterAgent | None = None
     server_sidecar: ServerSidecar | None = None
     if sidecar:
-        proxy_tap = ProxyEmitterTap(
-            sim, proxy, server="server", client="client", flow_id=flow_id,
-            policy=PacketCountFrequency(quack_every), threshold=threshold)
+        proxy_tap = EmitterAgent(
+            sim, proxy, "server", flow_id, PacketCountFrequency(quack_every),
+            client="client", threshold=threshold)
         # Window movement only: losses decoded from proxy quACKs are not
         # acted on (retransmission stays with the e2e ACKs / PTO).
         server_sidecar = ServerSidecar(sim, sender, threshold=threshold,

@@ -1,20 +1,24 @@
 """Sidecar agents: the glue between quACK state machines and the network.
 
-Three reusable agents implement the roles of Table 1:
+Two reusable agents implement the roles of Table 1:
 
-* :class:`HostEmitterAgent` -- the client-side library: observes DATA
-  packets arriving at a host, emits quACKs to a sidecar peer (proxy or
-  server) under a frequency policy, with an optional periodic timer.
+* :class:`EmitterAgent` -- the quACK emitter, whoever sits downstream:
+  bound to a :class:`~repro.netsim.node.Host` it is the client-side
+  library observing the flow's arriving DATA; bound to a
+  :class:`~repro.netsim.node.Router` it is a pure-observer proxy sidecar
+  watching DATA forwarded toward the client (the ACK-reduction proxy of
+  Section 2.2, the receiver-side retransmission proxy of Section 2.3).
+  Either way it folds identifiers into a power-sum quACK and sends
+  snapshots to its sidecar peer under a frequency policy, with an
+  optional periodic timer.
 * :class:`ServerSidecar` -- the server-side library: logs every packet
   the transport sends, consumes quACKs arriving at the server, and feeds
   the decoded receipts/losses into the
   :class:`~repro.transport.connection.SenderConnection` window hooks.
-* :class:`ProxyEmitterTap` -- a pure-observer proxy sidecar: watches DATA
-  packets traversing a router toward the client and quACKs them to the
-  server (the ACK-reduction proxy, Section 2.2).
 
-Protocol-specific proxies (the pacing proxy of congestion-control
-division and the buffering retransmitter) live in their own modules.
+Protocol-specific proxies that act on quACKs (the pacing proxy of
+congestion-control division and the buffering retransmitter) live in
+their own modules.
 
 Resilience: a sidecar is strictly optional assistance, so every agent
 here must survive a hostile channel -- corrupted datagrams are counted
@@ -34,15 +38,16 @@ plausibility validator and quarantine ledger of
 honest-observer gates before it may touch the consumer, and a sidecar
 caught lying is QUARANTINED (no signals, no resets it could farm for
 stalls).  Passing a :class:`~repro.sidecar.snapshot.CheckpointStore` to
-an emitter agent makes it checkpoint its accumulator periodically and,
-after ``crash_restart()``, restore the latest checkpoint and announce
-itself with a :class:`~repro.sidecar.protocol.ResumeMessage` instead of
-forcing the full reset round-trip.
+an :class:`EmitterAgent` makes it checkpoint its accumulator
+periodically and, after ``crash_restart()``, restore the latest
+checkpoint and announce itself with a
+:class:`~repro.sidecar.protocol.ResumeMessage` instead of forcing the
+full reset round-trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import QuackError, WireFormatError
@@ -60,7 +65,7 @@ from repro.sidecar.defense import (
     SignalKind,
 )
 from repro.sidecar.emitter import QuackEmitter
-from repro.sidecar.frequency import FrequencyPolicy
+from repro.sidecar.frequency import AdaptiveFrequency, FrequencyPolicy
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
 from repro.sidecar.negotiate import (
     FEATURE_VERSION_SWITCH,
@@ -69,6 +74,7 @@ from repro.sidecar.negotiate import (
     respond,
 )
 from repro.sidecar.protocol import (
+    ConfigMessage,
     ControlMessage,
     CorruptFrame,
     HelloAckMessage,
@@ -92,24 +98,64 @@ from repro.transport.connection import SenderConnection, SentPacketRecord
 DEFAULT_THRESHOLD = 20
 
 
-class _EmitterMixin:
-    """Shared emitter-side plumbing: resets, restarts, fault counters."""
+class EmitterAgent:
+    """The quACK emitter role of Table 1, bound to one network node.
 
-    # Subclasses provide: sim, flow_id, threshold, bits, policy, emitter,
-    # epoch, resets_applied plain attributes.
+    The node type decides how the agent attaches:
 
-    def _init_fault_state(self) -> None:
+    * on a :class:`~repro.netsim.node.Host` (the client-side library) it
+      registers DATA and CONTROL handlers and observes the flow's
+      arriving packets;
+    * on a :class:`~repro.netsim.node.Router` (a proxy sidecar) it adds
+      a tap that observes the flow's DATA forwarded toward ``client``
+      and the CONTROL traffic addressed to the router itself.
+
+    Either way it folds identifiers into a
+    :class:`~repro.sidecar.emitter.QuackEmitter`, sends snapshots to
+    ``peer`` through ``node.send`` under ``policy`` (plus a periodic
+    timer when the policy has an interval), and answers the same
+    control messages: reset, HELLO, VERSION-SWITCH and loss-adaptive
+    retune, with checkpoint/resume across :meth:`crash_restart`.
+    """
+
+    def __init__(self, sim: Simulator, node: Host | Router, peer: str,
+                 flow_id: str, policy: FrequencyPolicy, *,
+                 client: str | None = None,
+                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
+                 checkpoints: CheckpointStore | None = None,
+                 checkpoint_interval_s: float = 0.05,
+                 negotiate: NegotiateConfig | None = None) -> None:
+        if isinstance(node, Router) and client is None:
+            raise ValueError("a router-bound emitter needs the client "
+                             "address of the flow it observes")
+        self.sim = sim
+        self.node = node
+        self.peer = peer
+        self.client = client
+        self.flow_id = flow_id
+        self.role = "host" if isinstance(node, Host) else "proxy"
+        self.threshold = threshold
+        self.bits = bits
+        self.policy = policy
+        self.emitter = QuackEmitter(threshold, bits, policy=policy,
+                                    flow=flow_id)
+        self.quacks_sent = 0
+        self.epoch = 0
+        self.resets_applied = 0
+        self.retunes_applied = 0
         self.stale_resets = 0
         self.corrupt_frames = 0
         self.restarts = 0
-        self.checkpoints: CheckpointStore | None = None
+        self.checkpoints = checkpoints
         self.checkpoint_interval_s = 0.0
         self.checkpoints_taken = 0
         self.checkpoint_restores = 0
         self.checkpoint_corrupt = 0
         # -- negotiation state (responder side) --
-        self.negotiate_config: NegotiateConfig | None = None
-        self.negotiated = True  # un-negotiated sessions assist immediately
+        self.negotiate_config = negotiate
+        # Un-negotiated sessions assist immediately; an armed responder
+        # gives no assistance before the handshake.
+        self.negotiated = negotiate is None
         self.negotiated_version = 1
         self.negotiated_features = 0
         self.wire_version = 1
@@ -118,14 +164,120 @@ class _EmitterMixin:
         self.version_switches = 0
         self.stale_switches = 0
         self.quacks_suppressed = 0
+        if checkpoints is not None:
+            if checkpoint_interval_s <= 0:
+                raise ValueError(f"checkpoint interval must be > 0, "
+                                 f"got {checkpoint_interval_s}")
+            self.checkpoint_interval_s = checkpoint_interval_s
+            self._checkpoint_timer = sim.timer(self._checkpoint_tick)
+            self._checkpoint_timer.rearm(checkpoint_interval_s)
+        if isinstance(node, Host):
+            node.add_handler(PacketKind.DATA, self._observe)
+            node.add_handler(PacketKind.CONTROL, self._on_control)
+        else:
+            node.add_tap(self.observe)
+        interval = policy.interval_hint()
+        if interval is not None:
+            # The emission clock lives on one reusable timer for the
+            # agent's whole life (one wheel-slot insert per tick).
+            self._tick_timer = sim.timer(self._tick, interval)
+            self._tick_timer.rearm(interval)
 
-    def _arm_negotiation(self, config: NegotiateConfig | None) -> None:
-        if config is None:
+    # -- observation and emission ------------------------------------------
+
+    def observe(self, packet: Packet) -> None:
+        """Router tap: DATA toward the client, CONTROL to the router."""
+        if packet.dst == self.node.name:
+            if packet.kind is PacketKind.CONTROL:
+                self._on_control(packet)
             return
-        self.negotiate_config = config
-        self.negotiated = False  # no assistance before the handshake
+        if packet.kind is PacketKind.DATA and packet.dst == self.client:
+            self._observe(packet)
 
-    # -- negotiation (responder side) --------------------------------------------
+    def _observe(self, packet: Packet) -> None:
+        if packet.flow_id != self.flow_id or packet.identifier is None:
+            return
+        self._on_data(packet)
+
+    def _on_data(self, packet: Packet) -> None:
+        """Fold one DATA packet of this flow (overridden by the flow table
+        tap, which routes the observation through a shared table)."""
+        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
+                                        ctx=packet.trace_ctx,
+                                        flow=self.flow_id)
+        if snapshot is not None:
+            self._send(snapshot)
+
+    def _tick(self, interval: float) -> None:
+        if self.emitter.pending_packets:
+            self._send(self.emitter.emit(self.sim.now))
+        self._tick_timer.rearm(interval)
+
+    def _send(self, snapshot) -> None:
+        if not self.negotiated:
+            # Assistance is opt-in: no quACKs before the handshake
+            # completes (identifiers keep accumulating meanwhile).
+            self.quacks_suppressed += 1
+            return
+        self.quacks_sent += 1
+        if obs.TRACER.enabled:
+            obs.TRACER.emit("sidecar.quack_emit", self.sim.now,
+                            role=self.role, flow=self.flow_id,
+                            epoch=self.epoch)
+            obs.count("sidecar_quacks_emitted_total", role=self.role)
+        self.node.send(quack_packet(self.node.name, self.peer, snapshot,
+                                    self.flow_id, self.sim.now,
+                                    epoch=self.epoch,
+                                    version=self.wire_version,
+                                    features=self.wire_features))
+
+    def _send_control_message(self, message: ControlMessage) -> None:
+        self.node.send(control_packet(self.node.name, self.peer, message,
+                                      self.sim.now, version=self.wire_version,
+                                      features=self.wire_features))
+
+    # -- control messages ----------------------------------------------------
+
+    def _on_control(self, packet: Packet) -> None:
+        self._note_control(packet.payload)
+
+    def _note_control(self, message) -> None:
+        """Handle one CONTROL payload addressed to the agent's node.
+
+        Corrupt frames are counted; resets, negotiation traffic (HELLO
+        offers, VERSION-SWITCH) and cadence retunes for this flow are
+        applied; anything else is ignored.
+        """
+        if isinstance(message, CorruptFrame):
+            if not message.flow_id or message.flow_id == self.flow_id:
+                self.corrupt_frames += 1
+            return
+        if getattr(message, "flow_id", None) != self.flow_id:
+            return
+        if isinstance(message, ResetMessage):
+            self._apply_reset(message.epoch)
+        elif isinstance(message, HelloMessage):
+            self._on_hello(message)
+        elif isinstance(message, VersionSwitchMessage):
+            self._on_version_switch(message)
+        elif isinstance(message, ConfigMessage):
+            self._on_config(message)
+
+    def _on_config(self, config: ConfigMessage) -> None:
+        """Apply a loss-adaptive cadence retune (Section 2.3).
+
+        The message comes off the network, so only an
+        :class:`~repro.sidecar.frequency.AdaptiveFrequency` cadence is
+        retuned, clamped to its bounds; any other policy ignores it.
+        """
+        policy = self.policy
+        if config.every_n is None or not isinstance(policy, AdaptiveFrequency):
+            return
+        policy.every_n = max(policy.min_every,
+                             min(policy.max_every, config.every_n))
+        self.retunes_applied += 1
+
+    # -- negotiation (responder side) --------------------------------------
 
     def _on_hello(self, hello: HelloMessage) -> None:
         config = self.negotiate_config
@@ -177,19 +329,7 @@ class _EmitterMixin:
                             version=switch.version, epoch=switch.epoch)
             obs.count("sidecar_version_switches_total", role="emitter")
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def _arm_checkpoints(self, store: CheckpointStore | None,
-                         interval_s: float) -> None:
-        if store is None:
-            return
-        if interval_s <= 0:
-            raise ValueError(
-                f"checkpoint interval must be > 0, got {interval_s}")
-        self.checkpoints = store
-        self.checkpoint_interval_s = interval_s
-        self._checkpoint_timer = self.sim.timer(self._checkpoint_tick)
-        self._checkpoint_timer.rearm(interval_s)
+    # -- resets, checkpoint/restore -------------------------------------------
 
     def _checkpoint_tick(self) -> None:
         self._take_checkpoint()
@@ -285,32 +425,6 @@ class _EmitterMixin:
         self._send_control_message(ResumeMessage(
             flow_id=self.flow_id, epoch=self.epoch, count=restored.count))
 
-    def _send_control_message(self, message: ControlMessage) -> None:
-        raise NotImplementedError  # subclasses know their endpoints
-
-    def _note_control(self, message) -> ResetMessage | None:
-        """Classify a CONTROL payload; returns a reset to apply, if any.
-
-        Negotiation traffic (HELLO offers, VERSION-SWITCH) for this flow
-        is handled here directly.
-        """
-        if isinstance(message, CorruptFrame):
-            if not message.flow_id or message.flow_id == self.flow_id:
-                self.corrupt_frames += 1
-            return None
-        if isinstance(message, HelloMessage) \
-                and message.flow_id == self.flow_id:
-            self._on_hello(message)
-            return None
-        if isinstance(message, VersionSwitchMessage) \
-                and message.flow_id == self.flow_id:
-            self._on_version_switch(message)
-            return None
-        if isinstance(message, ResetMessage) \
-                and message.flow_id == self.flow_id:
-            return message
-        return None
-
     def fault_counters(self) -> dict[str, int]:
         """The agent's resilience counters (the chaos stats surface)."""
         return {
@@ -328,81 +442,6 @@ class _EmitterMixin:
             "stale_switches": self.stale_switches,
             "quacks_suppressed": self.quacks_suppressed,
         }
-
-
-class HostEmitterAgent(_EmitterMixin):
-    """Client-side quACK library: observe arrivals, emit quACKs to a peer."""
-
-    def __init__(self, sim: Simulator, host: Host, peer: str, flow_id: str,
-                 policy: FrequencyPolicy,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 checkpoints: CheckpointStore | None = None,
-                 checkpoint_interval_s: float = 0.05,
-                 negotiate: NegotiateConfig | None = None) -> None:
-        self.sim = sim
-        self.host = host
-        self.peer = peer
-        self.flow_id = flow_id
-        self.threshold = threshold
-        self.bits = bits
-        self.policy = policy
-        self.emitter = QuackEmitter(threshold, bits, policy=policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
-        self.epoch = 0
-        self.resets_applied = 0
-        self._init_fault_state()
-        self._arm_negotiation(negotiate)
-        self._arm_checkpoints(checkpoints, checkpoint_interval_s)
-        host.add_handler(PacketKind.DATA, self._observe)
-        host.add_handler(PacketKind.CONTROL, self._on_control)
-        interval = policy.interval_hint()
-        if interval is not None:
-            # The emission clock lives on one reusable timer for the
-            # agent's whole life (one wheel-slot insert per tick).
-            self._tick_timer = sim.timer(self._tick, interval)
-            self._tick_timer.rearm(interval)
-
-    def _observe(self, packet: Packet) -> None:
-        if packet.flow_id != self.flow_id or packet.identifier is None:
-            return
-        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                        ctx=packet.trace_ctx,
-                                        flow=self.flow_id)
-        if snapshot is not None:
-            self._send(snapshot)
-
-    def _on_control(self, packet: Packet) -> None:
-        reset = self._note_control(packet.payload)
-        if reset is not None:
-            self._apply_reset(reset.epoch)
-
-    def _send_control_message(self, message: ControlMessage) -> None:
-        self.host.send(control_packet(self.host.name, self.peer, message,
-                                      self.sim.now, version=self.wire_version,
-                                      features=self.wire_features))
-
-    def _tick(self, interval: float) -> None:
-        if self.emitter.pending_packets:
-            self._send(self.emitter.emit(self.sim.now))
-        self._tick_timer.rearm(interval)
-
-    def _send(self, snapshot) -> None:
-        if not self.negotiated:
-            # Assistance is opt-in: no quACKs before the handshake
-            # completes (identifiers keep accumulating meanwhile).
-            self.quacks_suppressed += 1
-            return
-        self.quacks_sent += 1
-        if obs.TRACER.enabled:
-            obs.TRACER.emit("sidecar.quack_emit", self.sim.now, role="host",
-                            flow=self.flow_id, epoch=self.epoch)
-            obs.count("sidecar_quacks_emitted_total", role="host")
-        self.host.send(quack_packet(self.host.name, self.peer, snapshot,
-                                    self.flow_id, self.sim.now,
-                                    epoch=self.epoch,
-                                    version=self.wire_version,
-                                    features=self.wire_features))
 
 
 @dataclass
@@ -1114,91 +1153,3 @@ class ServerSidecar:
         state = self.monitor.state
         divided = state in (HealthState.HEALTHY, HealthState.DEGRADED)
         self.sender.cc_from_acks = not divided
-
-
-class ProxyEmitterTap(_EmitterMixin):
-    """Proxy sidecar that quACKs forwarded DATA packets to the server.
-
-    Attach to a router with ``router.add_tap(tap.observe)``.  Observes
-    packets heading toward ``client`` for ``flow_id`` and sends quACK
-    snapshots back to ``server`` (the ACK-reduction proxy role: "The
-    proxy can send quACKs, e.g., every other packet", Section 2.2).
-    """
-
-    def __init__(self, sim: Simulator, router: Router, server: str,
-                 client: str, flow_id: str, policy: FrequencyPolicy,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 checkpoints: CheckpointStore | None = None,
-                 checkpoint_interval_s: float = 0.05,
-                 negotiate: NegotiateConfig | None = None) -> None:
-        self.sim = sim
-        self.router = router
-        self.server = server
-        self.client = client
-        self.flow_id = flow_id
-        self.threshold = threshold
-        self.bits = bits
-        self.policy = policy
-        self.emitter = QuackEmitter(threshold, bits, policy=policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
-        self.epoch = 0
-        self.resets_applied = 0
-        self._init_fault_state()
-        self._arm_negotiation(negotiate)
-        self._arm_checkpoints(checkpoints, checkpoint_interval_s)
-        router.add_tap(self.observe)
-        interval = policy.interval_hint()
-        if interval is not None:
-            # Same reusable emission clock as the host-side agent.
-            self._tick_timer = sim.timer(self._tick, interval)
-            self._tick_timer.rearm(interval)
-
-    def observe(self, packet: Packet) -> None:
-        if packet.dst == self.router.name:
-            if packet.kind is PacketKind.CONTROL:
-                reset = self._note_control(packet.payload)
-                if reset is not None:
-                    self._apply_reset(reset.epoch)
-            return
-        if (packet.kind is not PacketKind.DATA
-                or packet.dst != self.client
-                or packet.flow_id != self.flow_id
-                or packet.identifier is None):
-            return
-        self._on_data(packet)
-
-    def _on_data(self, packet: Packet) -> None:
-        """Fold one forwarded DATA packet (overridden by the flow table
-        tap, which routes the observation through a shared table)."""
-        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                        ctx=packet.trace_ctx,
-                                        flow=self.flow_id)
-        if snapshot is not None:
-            self._send(snapshot)
-
-    def _tick(self, interval: float) -> None:
-        if self.emitter.pending_packets:
-            self._send(self.emitter.emit(self.sim.now))
-        self._tick_timer.rearm(interval)
-
-    def _send(self, snapshot) -> None:
-        if not self.negotiated:
-            self.quacks_suppressed += 1
-            return
-        self.quacks_sent += 1
-        if obs.TRACER.enabled:
-            obs.TRACER.emit("sidecar.quack_emit", self.sim.now, role="proxy",
-                            flow=self.flow_id, epoch=self.epoch)
-            obs.count("sidecar_quacks_emitted_total", role="proxy")
-        self.router.send(quack_packet(self.router.name, self.server, snapshot,
-                                      self.flow_id, self.sim.now,
-                                      epoch=self.epoch,
-                                      version=self.wire_version,
-                                      features=self.wire_features))
-
-    def _send_control_message(self, message: ControlMessage) -> None:
-        self.router.send(control_packet(self.router.name, self.server,
-                                        message, self.sim.now,
-                                        version=self.wire_version,
-                                        features=self.wire_features))

@@ -41,7 +41,7 @@ from repro import obs
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
-    HostEmitterAgent,
+    EmitterAgent,
     ServerSidecar,
 )
 from repro.sidecar.consumer import QuackConsumer
@@ -274,13 +274,12 @@ def run_cc_division(total_bytes: int = 1_500_000,
 
     proxy_agent: PacingProxy | None = None
     server_sidecar: ServerSidecar | None = None
-    client_agent: HostEmitterAgent | None = None
+    client_agent: EmitterAgent | None = None
     if sidecar:
         segment_rtt = 2 * proxy_client_delay
-        client_agent = HostEmitterAgent(
-            sim, client, peer="proxy", flow_id=flow_id,
-            policy=IntervalFrequency(max(segment_rtt, 0.005)),
-            threshold=threshold)
+        client_agent = EmitterAgent(
+            sim, client, "proxy", flow_id,
+            IntervalFrequency(max(segment_rtt, 0.005)), threshold=threshold)
         controller = (proxy_controller_factory()
                       if proxy_controller_factory is not None else None)
         proxy_agent = PacingProxy(sim, proxy, server="server",

@@ -16,7 +16,9 @@ assistance or not, without credentialing the PEP", Section 1):
    its flow with a :class:`SidecarAccept` choosing one protocol and the
    final parameters, then instantiates the regular
    :class:`~repro.sidecar.agents.ServerSidecar` machinery.
-3. On accept, the proxy instantiates its emitter and starts quACKing.
+3. On accept, the proxy binds an
+   :class:`~repro.sidecar.agents.EmitterAgent` for the flow to its
+   router and starts quACKing.
 
 Hosts that do not consent simply never answer, and the proxy stays a
 plain router for that flow -- no ossification, no credentialing.
@@ -29,10 +31,13 @@ from dataclasses import dataclass, field
 from repro.netsim.core import Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
-from repro.sidecar.agents import DEFAULT_THRESHOLD, ServerSidecar
-from repro.sidecar.emitter import QuackEmitter
+from repro.sidecar.agents import (
+    DEFAULT_THRESHOLD,
+    EmitterAgent,
+    ServerSidecar,
+)
 from repro.sidecar.frequency import PacketCountFrequency
-from repro.sidecar.protocol import SIDECAR_HEADER_BYTES, quack_packet
+from repro.sidecar.protocol import SIDECAR_HEADER_BYTES
 from repro.transport.connection import SenderConnection
 
 #: Protocol names a proxy can offer (Table 1).
@@ -80,8 +85,7 @@ class _FlowCourtship:
     data_receiver: str
     offers_sent: int = 0
     accepted: bool = False
-    emitter: QuackEmitter | None = None
-    quacks_sent: int = 0
+    agent: EmitterAgent | None = None
 
 
 class DiscoveringProxy:
@@ -117,16 +121,6 @@ class DiscoveringProxy:
                                   data_receiver=packet.dst)
             self.flows[packet.flow_id] = flow
             self._send_offer(packet.flow_id, flow)
-        if flow.accepted and flow.emitter is not None \
-                and packet.dst == flow.data_receiver:
-            snapshot = flow.emitter.observe(packet.identifier, self.sim.now,
-                                            ctx=packet.trace_ctx,
-                                            flow=packet.flow_id)
-            if snapshot is not None:
-                flow.quacks_sent += 1
-                self.router.send(quack_packet(
-                    self.router.name, flow.data_sender, snapshot,
-                    packet.flow_id, self.sim.now))
 
     def _send_offer(self, flow_id: str, flow: _FlowCourtship) -> None:
         if flow.accepted or flow.offers_sent >= self.max_offers:
@@ -147,10 +141,12 @@ class DiscoveringProxy:
         if accept.protocol not in self.protocols:
             return  # host asked for something we never offered
         flow.accepted = True
-        flow.emitter = QuackEmitter(
-            accept.threshold, accept.bits,
-            policy=PacketCountFrequency(accept.quack_every),
-            flow=accept.flow_id)
+        # The agent's own router tap observes the flow from here on.
+        flow.agent = EmitterAgent(
+            self.sim, self.router, flow.data_sender, accept.flow_id,
+            PacketCountFrequency(accept.quack_every),
+            client=flow.data_receiver, threshold=accept.threshold,
+            bits=accept.bits)
 
 
 class DiscoveringServerSidecar:

@@ -45,7 +45,7 @@ from repro.obs import LATENCY_BUCKETS
 from repro.netsim.core import Simulator
 from repro.netsim.packet import reset_packet_uids
 from repro.sidecar.accounting import FLOW_ACCOUNTS
-from repro.sidecar.agents import ProxyEmitterTap
+from repro.sidecar.agents import EmitterAgent
 from repro.sidecar.emitter import QuackEmitter
 
 
@@ -428,8 +428,9 @@ class FlowTable:
         }
 
 
-class FlowTableTap(ProxyEmitterTap):
-    """A proxy tap whose emitter lives in a shared flow table.
+class FlowTableTap(EmitterAgent):
+    """A router-bound emitter agent whose accumulator lives in a shared
+    flow table.
 
     Observations route through :meth:`FlowTable.observe` (so budget
     accounting and LRU recency see them) and emission happens on the
@@ -440,16 +441,14 @@ class FlowTableTap(ProxyEmitterTap):
     ``RECOVERING`` probation.
     """
 
-    def __init__(self, sim, router, server: str, client: str, flow_id: str,
-                 policy, table: FlowTable, tenant: str = "primary",
-                 **kwargs) -> None:
+    def __init__(self, sim, router, peer: str, flow_id: str, policy, *,
+                 table: FlowTable, tenant: str = "primary", **kwargs) -> None:
         self.table = table
         self.tenant = tenant
         self.evictions = 0
         self.readmissions = 0
         self._record: FlowRecord | None = None
-        super().__init__(sim, router, server, client, flow_id, policy,
-                         **kwargs)
+        super().__init__(sim, router, peer, flow_id, policy, **kwargs)
         self._record = table.admit(tenant, flow_id, emitter=self.emitter,
                                    on_emit=self._deliver,
                                    on_evict=self._evicted)

@@ -31,16 +31,10 @@ from repro import obs
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import DEFAULT_THRESHOLD
+from repro.sidecar.agents import DEFAULT_THRESHOLD, EmitterAgent
 from repro.sidecar.consumer import QuackConsumer
-from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import (
-    ConfigMessage,
-    QuackMessage,
-    config_packet,
-    quack_packet,
-)
+from repro.sidecar.protocol import ConfigMessage, QuackMessage, config_packet
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 
@@ -152,54 +146,6 @@ class SenderSideRetxProxy:
         self._retune_timer.rearm(period)
 
 
-class ReceiverSideRetxProxy:
-    """The quACKing proxy (left-hand side of Fig. 4)."""
-
-    def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
-                 client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 policy: AdaptiveFrequency | None = None) -> None:
-        self.sim = sim
-        self.router = router
-        self.peer_proxy = peer_proxy
-        self.client = client
-        self.flow_id = flow_id
-        self.policy = policy if policy is not None else AdaptiveFrequency(
-            initial_every=8)
-        self.emitter = QuackEmitter(threshold, bits, policy=self.policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
-        self.retunes_applied = 0
-        router.add_tap(self._tap)
-
-    def _tap(self, packet: Packet) -> None:
-        if packet.dst == self.router.name:
-            if (packet.kind is PacketKind.CONTROL
-                    and isinstance(packet.payload, ConfigMessage)
-                    and packet.payload.flow_id == self.flow_id
-                    and packet.payload.every_n is not None):
-                self.policy.every_n = max(self.policy.min_every,
-                                          min(self.policy.max_every,
-                                              packet.payload.every_n))
-                self.retunes_applied += 1
-            return
-        if (packet.kind is PacketKind.DATA and packet.dst == self.client
-                and packet.flow_id == self.flow_id
-                and packet.identifier is not None):
-            snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                            ctx=packet.trace_ctx,
-                                            flow=self.flow_id)
-            if snapshot is not None:
-                self.quacks_sent += 1
-                if obs.TRACER.enabled:
-                    obs.TRACER.emit("sidecar.quack_emit", self.sim.now,
-                                    role="proxy", flow=self.flow_id, epoch=0)
-                    obs.count("sidecar_quacks_emitted_total", role="proxy")
-                self.router.send(quack_packet(self.router.name,
-                                              self.peer_proxy, snapshot,
-                                              self.flow_id, self.sim.now))
-
-
 @dataclass
 class RetransmissionResult:
     """Outcome of one E9 run."""
@@ -262,15 +208,16 @@ def run_retransmission(total_bytes: int = 1_500_000,
                               reorder_threshold=reorder_threshold)
 
     sender_proxy: SenderSideRetxProxy | None = None
-    receiver_proxy: ReceiverSideRetxProxy | None = None
+    receiver_proxy: EmitterAgent | None = None
     if innet_retx:
         sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                            client="client", flow_id=flow_id,
                                            threshold=threshold)
-        receiver_proxy = ReceiverSideRetxProxy(sim, p2, peer_proxy="p1",
-                                               client="client",
-                                               flow_id=flow_id,
-                                               threshold=threshold)
+        # The quACKing proxy (left-hand side of Fig. 4) is a plain emitter
+        # on p2 whose loss-adaptive cadence p1 retunes.
+        receiver_proxy = EmitterAgent(sim, p2, "p1", flow_id,
+                                      AdaptiveFrequency(initial_every=8),
+                                      client="client", threshold=threshold)
 
     sender.start()
     while sim.now < max_sim_seconds:

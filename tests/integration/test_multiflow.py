@@ -14,7 +14,7 @@ pytestmark = pytest.mark.slow
 from repro.netsim.core import Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
@@ -37,9 +37,9 @@ def build_two_flows(total=600_000, assisted_flows=()):
                                   key=key, flow_id=flow_id)
         sidecar = None
         if flow_id in assisted_flows:
-            ProxyEmitterTap(sim, proxy, server="server", client="client",
-                            flow_id=flow_id,
-                            policy=PacketCountFrequency(2), threshold=16)
+            EmitterAgent(sim, proxy, peer="server", client="client",
+                         flow_id=flow_id,
+                         policy=PacketCountFrequency(2), threshold=16)
             sidecar = ServerSidecar(sim, sender, threshold=16, grace=2,
                                     apply_losses=False)
         flows[flow_id] = (sender, receiver, sidecar)

@@ -18,7 +18,7 @@ from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.topology import HopSpec, build_parallel_paths
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.multipath import (
     MultipathTransfer,
@@ -152,8 +152,8 @@ class TestPerPathSidecars:
         taps = []
         sidecars = []
         for proxy, subflow in zip((p0, p1), transfer.subflows):
-            taps.append(ProxyEmitterTap(
-                sim, proxy, server="server", client="client",
+            taps.append(EmitterAgent(
+                sim, proxy, peer="server", client="client",
                 flow_id=subflow.flow_id,
                 policy=PacketCountFrequency(4), threshold=16))
             sidecars.append(ServerSidecar(

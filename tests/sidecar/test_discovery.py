@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss, DeterministicLoss
 from repro.netsim.node import Host, Router
@@ -53,7 +54,7 @@ class TestHandshake:
         assert host_agent.accepted_from == "proxy"
         flow = proxy_agent.flows[sender.flow_id]
         assert flow.accepted
-        assert flow.quacks_sent > 0
+        assert flow.agent.quacks_sent > 0
         assert host_agent.sidecar is not None
         assert host_agent.sidecar.stats.quacks_received > 0
         assert host_agent.sidecar.stats.decode_failures == 0
@@ -70,7 +71,7 @@ class TestHandshake:
         assert receiver.complete
         flow = proxy_agent.flows[sender.flow_id]
         assert not flow.accepted
-        assert flow.quacks_sent == 0
+        assert flow.agent is None
         assert flow.offers_sent == 3  # offered, gave up
 
     def test_protocol_mismatch_declined_by_silence(self):
@@ -109,9 +110,9 @@ class TestHandshake:
         run_to_completion(sim, sender, receiver)
         flow = proxy_agent.flows[sender.flow_id]
         assert flow.accepted
-        assert flow.emitter.quack.threshold == 12
-        assert flow.emitter.quack.bits == 16
-        assert flow.emitter.policy.every_n == 4
+        assert flow.agent.emitter.quack.threshold == 12
+        assert flow.agent.emitter.quack.bits == 16
+        assert flow.agent.emitter.policy.every_n == 4
         assert host_agent.sidecar.consumer.threshold == 12
 
     def test_duplicate_accepts_ignored(self):
@@ -125,3 +126,24 @@ class TestHandshake:
         assert host_agent.offers_seen >= 1
         assert host_agent.sidecar is not None
         assert proxy_agent.flows[sender.flow_id].accepted
+
+
+class TestDiscoveryTracing:
+    def test_every_proxy_quack_is_traced(self):
+        sim, server, proxy, client, sender, receiver = build()
+        proxy_agent = DiscoveringProxy(sim, proxy)
+        DiscoveringServerSidecar(sim, sender)
+        sink = obs.enable()
+        try:
+            sender.start()
+            run_to_completion(sim, sender, receiver)
+            emits = [event for event in sink.events
+                     if event.type == "sidecar.quack_emit"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert receiver.complete
+        agent = proxy_agent.flows[sender.flow_id].agent
+        assert agent.quacks_sent > 0
+        assert len(emits) == agent.quacks_sent
+        assert {event.fields["role"] for event in emits} == {"proxy"}

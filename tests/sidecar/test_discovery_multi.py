@@ -60,7 +60,7 @@ class TestTwoProxies:
     def test_accepted_proxy_quacks_and_session_works(self, world):
         sender, _, a, b, host = world
         winner = a if a.flows[sender.flow_id].accepted else b
-        assert winner.flows[sender.flow_id].quacks_sent > 0
+        assert winner.flows[sender.flow_id].agent.quacks_sent > 0
         assert host.sidecar is not None
         assert host.sidecar.stats.decode_failures == 0
         assert sender.stats.sidecar_releases > 0
@@ -70,5 +70,5 @@ class TestTwoProxies:
         loser = b if a.flows[sender.flow_id].accepted else a
         flow = loser.flows[sender.flow_id]
         assert not flow.accepted
-        assert flow.quacks_sent == 0
+        assert flow.agent is None
         assert flow.offers_sent <= loser.max_offers

@@ -17,7 +17,7 @@ from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.quack.base import DecodeStatus
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.protocol import QuackMessage, quack_packet
@@ -34,9 +34,9 @@ def build_assisted(total=1460 * 80):
                 HopSpec(bandwidth_bps=20e6, delay_s=0.005)])
     receiver = ReceiverConnection(sim, client, "server", total)
     sender = SenderConnection(sim, server, "client", total)
-    tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                          flow_id="flow0", policy=PacketCountFrequency(4),
-                          threshold=16)
+    tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                       flow_id="flow0", policy=PacketCountFrequency(4),
+                       threshold=16)
     sidecar = ServerSidecar(sim, sender, threshold=16, grace=2,
                             apply_losses=False)
     return sim, server, proxy, sender, receiver, tap, sidecar

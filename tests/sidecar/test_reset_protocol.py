@@ -14,7 +14,7 @@ from repro.netsim.core import Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import PacketKind
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
@@ -32,9 +32,9 @@ def build_assisted(total=1460 * 400, reset_after=2):
                 HopSpec(bandwidth_bps=5e6, delay_s=0.005)])
     receiver = ReceiverConnection(sim, client, "server", total)
     sender = SenderConnection(sim, server, "client", total)
-    tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                          flow_id="flow0", policy=PacketCountFrequency(4),
-                          threshold=16)
+    tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                       flow_id="flow0", policy=PacketCountFrequency(4),
+                       threshold=16)
     sidecar = ServerSidecar(sim, sender, threshold=16, grace=2,
                             apply_losses=False,
                             reset_after_failures=reset_after,
@@ -147,9 +147,9 @@ class TestEpochPlumbing:
         proxy = Router(sim, "proxy")
         client = Host(sim, "client")
         build_path(sim, [server, proxy, client], [HopSpec(), HopSpec()])
-        tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                              flow_id="flow0",
-                              policy=PacketCountFrequency(2))
+        tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                           flow_id="flow0",
+                           policy=PacketCountFrequency(2))
         tap._apply_reset(2)
         assert tap.epoch == 2 and tap.resets_applied == 1
         tap._apply_reset(2)  # duplicate
@@ -164,9 +164,9 @@ class TestEpochPlumbing:
         proxy = Router(sim, "proxy")
         client = Host(sim, "client")
         build_path(sim, [server, proxy, client], [HopSpec(), HopSpec()])
-        tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                              flow_id="flow0",
-                              policy=PacketCountFrequency(2))
+        tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                           flow_id="flow0",
+                           policy=PacketCountFrequency(2))
         tap.emitter.observe(123, 0.0)
         assert tap.emitter.quack.count == 1
         tap._apply_reset(1)

@@ -15,7 +15,7 @@ from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.agents import HostEmitterAgent, ProxyEmitterTap, ServerSidecar
+from repro.sidecar.agents import EmitterAgent, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
 from repro.sidecar.protocol import (
@@ -42,9 +42,9 @@ def build_assisted(total=1460 * 400, reset_after=2, health=None,
     receiver = ReceiverConnection(sim, client, "server", total)
     sender = SenderConnection(sim, server, "client", total,
                               cc_from_acks=not divide_cc)
-    tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                          flow_id="flow0", policy=PacketCountFrequency(4),
-                          threshold=16)
+    tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                       flow_id="flow0", policy=PacketCountFrequency(4),
+                       threshold=16)
     sidecar = ServerSidecar(sim, sender, threshold=16, grace=2,
                             apply_losses=False,
                             reset_after_failures=reset_after,
@@ -70,8 +70,8 @@ class TestStaleResets:
         proxy = Router(sim, "proxy")
         client = Host(sim, "client")
         build_path(sim, [server, proxy, client], [HopSpec(), HopSpec()])
-        return sim, proxy, ProxyEmitterTap(
-            sim, proxy, server="server", client="client", flow_id="flow0",
+        return sim, proxy, EmitterAgent(
+            sim, proxy, peer="server", client="client", flow_id="flow0",
             policy=PacketCountFrequency(2))
 
     def test_older_epoch_reset_is_counted_not_applied(self):
@@ -111,9 +111,9 @@ class TestStaleResets:
         server = Host(sim, "server")
         client = Host(sim, "client")
         build_path(sim, [server, client], [HopSpec()])
-        agent = HostEmitterAgent(sim, client, peer="server",
-                                 flow_id="flow0",
-                                 policy=PacketCountFrequency(2))
+        agent = EmitterAgent(sim, client, peer="server",
+                             flow_id="flow0",
+                             policy=PacketCountFrequency(2))
         agent._apply_reset(5)
         agent._apply_reset(4)
         assert agent.epoch == 5
@@ -127,9 +127,9 @@ class TestCorruptFrameCounting:
         proxy = Router(sim, "proxy")
         client = Host(sim, "client")
         build_path(sim, [server, proxy, client], [HopSpec(), HopSpec()])
-        tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                              flow_id="flow0",
-                              policy=PacketCountFrequency(2))
+        tap = EmitterAgent(sim, proxy, peer="server", client="client",
+                           flow_id="flow0",
+                           policy=PacketCountFrequency(2))
         mangled = Packet(src="server", dst="proxy", size_bytes=40,
                          kind=PacketKind.CONTROL, flow_id="flow0",
                          payload=CorruptFrame(frame=b"\x00" * 12,
@@ -164,7 +164,7 @@ class TestResetRetry:
         """Drop every CONTROL packet for a while: the epoch must still
         converge once the channel heals, via the retry timer."""
         sim, sender, receiver, tap, sidecar = build_assisted()
-        proxy = tap.router
+        proxy = tap.node
         # Interpose on the server->proxy link to swallow resets.
         link = sender.host.links["proxy"]
         original_deliver = link.deliver

@@ -9,12 +9,10 @@ from repro.netsim.loss import DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
+from repro.sidecar.agents import EmitterAgent
 from repro.sidecar.frequency import AdaptiveFrequency
 from repro.sidecar.protocol import ConfigMessage, config_packet
-from repro.sidecar.retransmission import (
-    ReceiverSideRetxProxy,
-    SenderSideRetxProxy,
-)
+from repro.sidecar.retransmission import SenderSideRetxProxy
 
 
 def build_segment(loss_ordinals=frozenset(), quack_every=4):
@@ -32,8 +30,8 @@ def build_segment(loss_ordinals=frozenset(), quack_every=4):
     sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                        client="client", flow_id="f",
                                        threshold=8, retune_period_s=0.05)
-    receiver_proxy = ReceiverSideRetxProxy(
-        sim, p2, peer_proxy="p1", client="client", flow_id="f",
+    receiver_proxy = EmitterAgent(
+        sim, p2, peer="p1", client="client", flow_id="f",
         threshold=8, policy=AdaptiveFrequency(initial_every=quack_every,
                                               min_every=2))
     received = []
