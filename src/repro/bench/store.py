@@ -477,28 +477,37 @@ def collect_scale(quick: bool = False) -> dict[str, Metric]:
     gated at the generous 2x threshold), while the memory footprint and
     the emission-latency tail are deterministic virtual-time outcomes a
     la :func:`collect_protocols` -- any movement is a behavior change.
+    A second, budget-pressured population (a quarter of the default
+    tenant budget) runs the LRU eviction path: ``pressured_*``.
     """
     from time import perf_counter
 
     from repro.sidecar.flowtable import run_scale
 
     flows = 5_000 if quick else 20_000
-    started = perf_counter()
-    result = run_scale(flows=flows, tenants=8, packets_per_flow=4,
-                       churn_rate=0.2, duration_s=1.0, seed=1,
-                       account=True)
-    wall = perf_counter() - started
+
+    def timed(**kwargs) -> tuple[dict, float]:
+        started = perf_counter()
+        result = run_scale(flows=flows, tenants=8, packets_per_flow=4,
+                           churn_rate=0.2, duration_s=1.0, seed=1,
+                           account=True, **kwargs)
+        return result, perf_counter() - started
 
     def sim_metric(name: str, value: float, unit: str,
                    direction: str) -> Metric:
         return Metric(name=name, mean=float(value), stdev=0.0, n=1,
                       unit=unit, direction=direction)
 
-    driven = result["flows_admitted"] + result["flows_closed"]
+    def flows_per_sec(name: str, result: dict, wall: float) -> Metric:
+        driven = result["flows_admitted"] + result["flows_closed"]
+        return Metric(name=name, mean=driven / wall, unit="flows/s",
+                      direction="higher")
+
+    result, wall = timed()
+    pressured, pressured_wall = timed(
+        tenant_budget_bytes=result["tenant_budget_bytes"] // 4)
     return {
-        "flows_per_sec": Metric(
-            name="flows_per_sec", mean=driven / wall,
-            unit="flows/s", direction="higher"),
+        "flows_per_sec": flows_per_sec("flows_per_sec", result, wall),
         "bytes_per_flow": sim_metric(
             "bytes_per_flow",
             result["ledger_bank_bytes"] / max(result["ledger_flows"], 1),
@@ -513,6 +522,11 @@ def collect_scale(quick: bool = False) -> dict[str, Metric]:
             "flows_evicted", result["flows_evicted"], "flows", "info"),
         "flows_shed": sim_metric(
             "flows_shed", result["flows_shed"], "flows", "info"),
+        "pressured_flows_per_sec": flows_per_sec(
+            "pressured_flows_per_sec", pressured, pressured_wall),
+        "pressured_flows_evicted": sim_metric(
+            "pressured_flows_evicted", pressured["flows_evicted"], "flows",
+            "info"),
     }
 
 

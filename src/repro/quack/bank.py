@@ -13,7 +13,8 @@ Semantics are identical to per-flow
 :class:`~repro.quack.power_sum.PowerSumQuack` instances (property-tested
 in ``tests/quack/test_bank.py``); snapshots inter-operate with the
 normal decoder and wire format.  Requires a vectorizable modulus
-(``bits <= 32``).
+(``bits <= 32``).  The multi-tenant flow table
+(:mod:`repro.sidecar.flowtable`) keeps every admitted flow as one row.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ class QuackBank:
                       identifiers: Sequence[int] | np.ndarray) -> None:
         """Fold a batch of (flow, identifier) observations.
 
-        Cost is O(t) vectorized passes over the batch regardless of how
-        many distinct flows it touches.  Duplicate flows in one batch are
-        handled correctly (scatter-add).
+        Cost grows with the batch, not the bank: the batch is grouped by
+        flow (duplicates included), each group's ``t`` power sums are
+        reduced in one pass, and only the touched rows are read, added
+        and reduced mod ``p``.
         """
         flow_idx = np.asarray(flows, dtype=np.int64)
         ids = np.asarray(identifiers, dtype=np.uint64)
@@ -93,21 +95,39 @@ class QuackBank:
         if flow_idx.min() < 0 or flow_idx.max() >= self.num_flows:
             raise ArithmeticDomainError(
                 f"flow index out of range [0, {self.num_flows})")
+        order = np.argsort(flow_idx, kind="stable")
+        flow_idx = flow_idx[order]
         p = np.uint64(self.field.modulus)
-        x = ids % p
-        power = x.copy()
-        for k in range(self.threshold):
-            # Scatter-add the k-th powers into each flow's k-th sum.
-            contributions = np.zeros(self.num_flows, dtype=np.uint64)
-            np.add.at(contributions, flow_idx, power)
-            # np.add.at may wrap mod 2**64 only if a single batch exceeds
-            # ~2**32 same-flow entries; batches are far smaller.
-            self._sums[:, k] = (self._sums[:, k] + contributions) % p
-            power = (power * x) % p
-        count_inc = np.zeros(self.num_flows, dtype=np.uint64)
-        np.add.at(count_inc, flow_idx, np.uint64(1))
+        x = ids[order] % p
+        # Each power is < p < 2**32, so products fit in uint64 and a
+        # group sum overflows only past ~2**32 same-flow entries.
+        powers = np.empty((x.size, self.threshold), dtype=np.uint64)
+        powers[:, 0] = x
+        for k in range(1, self.threshold):
+            powers[:, k] = powers[:, k - 1] * x % p
+        starts = np.flatnonzero(np.concatenate(
+            ([True], flow_idx[1:] != flow_idx[:-1])))
+        touched = flow_idx[starts]
+        self._sums[touched] = (self._sums[touched]
+                               + np.add.reduceat(powers, starts, axis=0)) % p
+        per_flow = np.diff(np.append(starts, x.size)).astype(np.uint64)
         mask = np.uint64((1 << self.count_bits) - 1)
-        self._counts = (self._counts + count_inc) & mask
+        self._counts[touched] = (self._counts[touched] + per_flow) & mask
+
+    def resize(self, num_flows: int, threshold: int | None = None) -> None:
+        """Change the row count (and optionally widen to ``threshold``
+        power sums); surviving rows keep their state, new cells are 0."""
+        threshold = self.threshold if threshold is None else threshold
+        if num_flows < 1 or threshold < self.threshold:
+            raise ArithmeticDomainError(
+                f"cannot resize {self!r} to {num_flows} flows, t={threshold}")
+        keep = min(num_flows, self.num_flows)
+        sums = np.zeros((num_flows, threshold), dtype=np.uint64)
+        sums[:keep, :self.threshold] = self._sums[:keep]
+        counts = np.zeros(num_flows, dtype=np.uint64)
+        counts[:keep] = self._counts[:keep]
+        self._sums, self._counts = sums, counts
+        self.num_flows, self.threshold = num_flows, threshold
 
     # -- reads -----------------------------------------------------------------
 
@@ -117,13 +137,34 @@ class QuackBank:
     def power_sums(self, flow: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self._sums[flow])
 
-    def snapshot(self, flow: int) -> PowerSumQuack:
-        """Materialize one flow's state as a normal PowerSumQuack."""
-        quack = PowerSumQuack(self.threshold, self.bits, self.count_bits,
+    def snapshot(self, flow: int, threshold: int | None = None
+                 ) -> PowerSumQuack:
+        """Materialize one flow's state as a normal PowerSumQuack.
+
+        ``threshold`` (at most the bank's) keeps only the lowest power
+        sums, for a flow whose quACK is narrower than the bank.
+        """
+        threshold = self.threshold if threshold is None else threshold
+        if threshold > self.threshold:
+            raise ArithmeticDomainError(
+                f"t={threshold} is wider than {self!r}")
+        quack = PowerSumQuack(threshold, self.bits, self.count_bits,
                               field=self.field)
-        quack._sums = [int(v) for v in self._sums[flow]]
+        quack._sums = self._sums[flow, :quack.threshold].tolist()
         quack._count = int(self._counts[flow])
         return quack
+
+    def load(self, flow: int, quack: PowerSumQuack) -> None:
+        """Overwrite one flow's row with ``quack``'s state (a restore);
+        power sums beyond ``quack``'s threshold are zeroed."""
+        if (quack.field != self.field or quack.count_bits != self.count_bits
+                or quack.threshold > self.threshold):
+            raise ArithmeticDomainError(
+                f"cannot load a t={quack.threshold}, p={quack.field.modulus} "
+                f"quACK into {self!r}")
+        self._sums[flow, :] = 0
+        self._sums[flow, :quack.threshold] = quack.power_sums
+        self._counts[flow] = quack.count
 
     def reset_flow(self, flow: int) -> None:
         """Restart one flow's accumulator (the epoch-reset hook)."""

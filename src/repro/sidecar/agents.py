@@ -137,8 +137,7 @@ class EmitterAgent:
         self.threshold = threshold
         self.bits = bits
         self.policy = policy
-        self.emitter = QuackEmitter(threshold, bits, policy=policy,
-                                    flow=flow_id)
+        self._fresh_accumulator()
         self.quacks_sent = 0
         self.epoch = 0
         self.resets_applied = 0
@@ -209,9 +208,33 @@ class EmitterAgent:
             self._send(snapshot)
 
     def _tick(self, interval: float) -> None:
-        if self.emitter.pending_packets:
-            self._send(self.emitter.emit(self.sim.now))
+        snapshot = self._emit_pending()
+        if snapshot is not None:
+            self._send(snapshot)
         self._tick_timer.rearm(interval)
+
+    # -- the accumulator (the flow table tap keeps it in a bank row) --------
+
+    def _emit_pending(self):
+        """A snapshot of the identifiers observed since the last one,
+        or None when there are none."""
+        if self.emitter.pending_packets:
+            return self.emitter.emit(self.sim.now)
+        return None
+
+    def _accumulator(self):
+        """The accumulated quACK (read-only use)."""
+        return self.emitter.quack
+
+    def _fresh_accumulator(self) -> None:
+        """Start over with an empty accumulator at the current
+        ``threshold``/``bits``, as a newly started emitter."""
+        self.emitter = QuackEmitter(self.threshold, self.bits,
+                                    policy=self.policy, flow=self.flow_id)
+
+    def _restore_accumulator(self, quack) -> None:
+        """Adopt a restored accumulator (a checkpoint)."""
+        self.emitter.quack = quack
 
     def _send(self, snapshot) -> None:
         if not self.negotiated:
@@ -291,14 +314,12 @@ class EmitterAgent:
             self.negotiated_version = ack.version
             self.negotiated_features = ack.features
             if ((ack.threshold, ack.bits) != (self.threshold, self.bits)
-                    and self.emitter.quack.count == 0):
+                    and self._accumulator().count == 0):
                 # Adopt the negotiated parameters -- but only while the
                 # accumulator is empty; once identifiers are folded in,
                 # rebuilding it would orphan them in the peer's log.
                 self.threshold, self.bits = ack.threshold, ack.bits
-                self.emitter = QuackEmitter(ack.threshold, ack.bits,
-                                            policy=self.policy,
-                                            flow=self.flow_id)
+                self._fresh_accumulator()
             if obs.TRACER.enabled:
                 obs.TRACER.emit("sidecar.negotiated", self.sim.now,
                                 flow=self.flow_id, role="emitter",
@@ -337,8 +358,8 @@ class EmitterAgent:
 
     def _take_checkpoint(self) -> None:
         """Serialize the accumulator to stable storage (latest wins)."""
-        frame = wire.encode(self.emitter.quack, include_count=True,
-                            include_checksum=True)
+        quack = self._accumulator()
+        frame = wire.encode(quack, include_count=True, include_checksum=True)
         blob = encode_checkpoint(EmitterCheckpoint(
             flow_id=self.flow_id, epoch=self.epoch,
             taken_at=self.sim.now, frame=frame,
@@ -348,7 +369,7 @@ class EmitterAgent:
         if obs.TRACER.enabled:
             obs.TRACER.emit("sidecar.checkpoint", self.sim.now,
                             flow=self.flow_id, epoch=self.epoch,
-                            count=self.emitter.quack.count, bytes=len(blob))
+                            count=quack.count, bytes=len(blob))
             obs.count("sidecar_checkpoints_total")
 
     def _apply_reset(self, epoch: int) -> None:
@@ -360,8 +381,7 @@ class EmitterAgent:
             return  # duplicate of the current handshake (idempotent)
         self.epoch = epoch
         self.resets_applied += 1
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
+        self._fresh_accumulator()
 
     def crash_restart(self) -> None:
         """Simulate a middlebox crash/restart: all volatile state is lost.
@@ -378,8 +398,7 @@ class EmitterAgent:
         """
         self.restarts += 1
         self.epoch = 0
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
+        self._fresh_accumulator()
         # Negotiated session state is volatile too; a checkpoint (v2)
         # restores it below, otherwise an armed responder waits for a
         # fresh HELLO before assisting again.
@@ -403,7 +422,7 @@ class EmitterAgent:
                 or restored.threshold != self.threshold:
             self.checkpoint_corrupt += 1
             return
-        self.emitter.quack = restored
+        self._restore_accumulator(restored)
         self.epoch = checkpoint.epoch
         if self.negotiate_config is not None:
             # The checkpoint proves a completed handshake; resume under

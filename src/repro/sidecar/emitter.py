@@ -37,8 +37,10 @@ class QuackEmitter:
     is disarmed the accounting hooks cost one attribute load plus a
     branch per call.
 
-    One emitter exists per tracked flow, so the class is
-    ``__slots__``-based for the million-flow regime (ROADMAP item 2).
+    One emitter exists per agent-tracked flow, so the class is
+    ``__slots__``-based.  Flows of a shared
+    :class:`~repro.sidecar.flowtable.FlowTable` have no emitter: their
+    sums are rows of the table's bank.
     """
 
     __slots__ = ("quack", "policy", "flow", "stats",
@@ -60,10 +62,9 @@ class QuackEmitter:
         """Fold one identifier in; returns True when an emission is due.
 
         This is the observation half of :meth:`observe` without the
-        emission: callers that own the emission schedule -- the flow
-        table's shared batch timer -- use the returned due flag to mark
-        the flow for the next coalesced sweep instead of emitting a
-        frame per due packet.
+        emission: a caller that owns the emission schedule can use the
+        returned due flag to defer the frame instead of emitting it
+        per due packet.
 
         ``ctx``/``flow`` are purely observational: when the datagram
         carried a trace-context id, the middlebox observation point is

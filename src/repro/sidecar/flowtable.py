@@ -2,21 +2,32 @@
 
 One sidecar process on a proxy tap serves *many* flows (ROADMAP item 2:
 100k-1M concurrent flows per middlebox).  This module is that shared
-process: a hash-sharded table of :class:`~repro.sidecar.emitter.
-QuackEmitter` banks keyed by tenant, with the three overload behaviors a
-production middlebox needs and the paper's deployment story assumes --
+process: a hash-sharded table of flow records keyed by tenant, whose
+power sums live as rows of one :class:`~repro.quack.bank.QuackBank`,
+with the three overload behaviors a production middlebox needs and the
+paper's deployment story assumes --
 
 * **per-tenant memory budgets**, metered in the same ``bank_bytes`` the
   :data:`~repro.sidecar.accounting.FLOW_ACCOUNTS` ledger measures: a
   tenant over budget loses its least-recently-active flow first (LRU
-  eviction), never another tenant's;
+  eviction, from a lazily re-keyed per-tenant heap), never another
+  tenant's;
 * **shared emission timers**: one batch timer on the simulator's timer
-  wheel sweeps every ``batch_interval_s`` and coalesces all *due* flows
-  into one burst of wire frames, instead of one timer per flow;
+  wheel sweeps every ``batch_interval_s``, folds the identifiers
+  buffered since the last fold into the bank in one vectorized pass,
+  and coalesces all *due* flows into one burst of wire frames, instead
+  of one timer per flow;
 * **admission control and load shedding**: new flows are rejected above
   a global high-water mark, and when occupancy crosses the shed
   threshold the *cheapest-to-lose* flows are demoted first -- idle, then
   low-traffic, then active -- down to the low-water mark.
+
+A flow costs a :class:`FlowRecord` and a bank row, nothing more: no
+per-flow emitter or accumulator object exists, and a
+:class:`~repro.quack.power_sum.PowerSumQuack` is built from the row only
+when a consumer takes the frame.  The buffered identifiers are folded
+before any row is read, reset, freed or reused, so every snapshot
+equals a per-flow accumulator's (``tests/sidecar/test_flowtable.py``).
 
 The robustness contract (DESIGN.md §16): losing a flow's bank only ever
 *removes assistance*.  The evicted flow's sender stops seeing quACKs,
@@ -35,18 +46,21 @@ counts.
 
 from __future__ import annotations
 
+import heapq
 import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
 
 from repro import obs
-from repro.obs import LATENCY_BUCKETS
+from repro.obs import LATENCY_BUCKETS, PROFILER
 from repro.netsim.core import Simulator
 from repro.netsim.packet import reset_packet_uids
+from repro.quack.bank import QuackBank
+from repro.quack.power_sum import DEFAULT_COUNT_BITS, PowerSumQuack
 from repro.sidecar.accounting import FLOW_ACCOUNTS
 from repro.sidecar.agents import EmitterAgent
-from repro.sidecar.emitter import QuackEmitter
+from repro.sidecar.frequency import FrequencyPolicy, PacketCountFrequency
 
 
 @dataclass(slots=True)
@@ -86,20 +100,32 @@ class FlowTableConfig:
                              f"{self.batch_interval_s}")
 
 
-class FlowRecord:
-    """One tracked flow: its bank plus the bookkeeping eviction needs."""
+def bank_bytes(threshold: int, bits: int) -> int:
+    """Resident bytes of one flow's power sums plus its counter."""
+    return (threshold * bits + DEFAULT_COUNT_BITS + 7) // 8
 
-    __slots__ = ("tenant", "flow_id", "flow_key", "emitter", "bank_bytes",
+
+class FlowRecord:
+    """One tracked flow: its bank row, emission cadence, and the
+    bookkeeping eviction needs."""
+
+    __slots__ = ("tenant", "flow_id", "flow_key", "row", "threshold",
+                 "bank_bytes", "policy", "pending", "last_emit",
                  "on_emit", "on_evict", "admitted_at", "last_activity",
                  "observed", "due", "due_since", "live")
 
-    def __init__(self, tenant: str, flow_id: str, emitter: QuackEmitter,
-                 bank_bytes: int, now: float, on_emit, on_evict) -> None:
+    def __init__(self, tenant: str, flow_id: str, row: int, threshold: int,
+                 bank_bytes: int, policy: FrequencyPolicy, now: float,
+                 on_emit, on_evict) -> None:
         self.tenant = tenant
         self.flow_id = flow_id
         self.flow_key = f"{tenant}/{flow_id}"
-        self.emitter = emitter
+        self.row = row
+        self.threshold = threshold
         self.bank_bytes = bank_bytes
+        self.policy = policy
+        self.pending = 0        # identifiers observed since the last emit
+        self.last_emit = 0.0
         self.on_emit = on_emit
         self.on_evict = on_evict
         self.admitted_at = now
@@ -134,8 +160,20 @@ def _quantile(values: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
+def _lru_entry(record: FlowRecord) -> tuple:
+    """A tenant-heap entry.  The flow key is unique among a tenant's
+    live flows; ``id`` orders a removed record against its live
+    successor under the same key, so records are never compared."""
+    return (record.last_activity, record.admitted_at, record.flow_key,
+            id(record), record)
+
+
 class FlowTable:
-    """A shared middlebox multiplexing many emitters behind one timer."""
+    """A shared middlebox multiplexing many flows' quACKs behind one
+    bank and one timer."""
+
+    #: Rows of the bank at construction; it doubles when full.
+    INITIAL_ROWS = 64
 
     def __init__(self, sim: Simulator,
                  config: FlowTableConfig | None = None) -> None:
@@ -147,6 +185,19 @@ class FlowTable:
         self._tenants: dict[str, dict[str, FlowRecord]] = {}
         self._tenant_bank: dict[str, int] = {}
         self._budget_override: dict[str, int] = {}
+        # Cadence of flows admitted without a policy; stateless, so
+        # every such flow shares it.
+        self._default_policy = PacketCountFrequency(2)
+        # Per-tenant LRU heaps, built on a tenant's first eviction.
+        self._lru: dict[str, list[tuple]] = {}
+        self._bank = QuackBank(self.INITIAL_ROWS, self.config.threshold,
+                               self.config.bits)
+        self._free_rows: list[int] = []
+        self._rows_used = 0
+        self._bank_bytes = 0
+        # Observations not yet folded into the bank: (row, identifier).
+        self._fold_rows: list[int] = []
+        self._fold_ids: list[int] = []
         self._due: list[FlowRecord] = []
         self._latencies: list[float] = []
         self._flow_count = 0
@@ -167,13 +218,18 @@ class FlowTable:
 
     def total_bank_bytes(self) -> int:
         """Resident bank memory across every tenant."""
-        return sum(self._tenant_bank.values())
+        return self._bank_bytes
 
     def tenant_bank_bytes(self, tenant: str) -> int:
         return self._tenant_bank.get(tenant, 0)
 
     def get(self, tenant: str, flow_id: str) -> FlowRecord | None:
         return self._shard(tenant).get(f"{tenant}/{flow_id}")
+
+    def snapshot(self, record: FlowRecord) -> PowerSumQuack:
+        """The flow's accumulated quACK, as a standalone copy."""
+        self._fold()
+        return self._bank.snapshot(record.row, record.threshold)
 
     # -- admission --------------------------------------------------------
 
@@ -187,11 +243,21 @@ class FlowTable:
         return self._budget_override.get(tenant,
                                          self.config.tenant_budget_bytes)
 
+    def _reject(self, tenant: str, flow_id: str, now: float) -> None:
+        self.stats.flows_rejected += 1
+        if obs.TRACER.enabled:
+            obs.TRACER.emit("sidecar.flow_reject", now, tenant=tenant,
+                            flow=flow_id, flows=self._flow_count)
+            obs.count("flowtable_flows_rejected_total")
+
     def admit(self, tenant: str, flow_id: str, *,
-              emitter: QuackEmitter | None = None,
+              threshold: int | None = None,
+              policy: FrequencyPolicy | None = None,
               on_emit=None, on_evict=None) -> FlowRecord | None:
         """Register a flow; returns its record, or None when rejected.
 
+        ``threshold`` (default: the table's) sizes the flow's quACK;
+        ``policy`` (default: every two packets) decides when it is due.
         Admission enforces two independent limits: the global
         ``max_flows`` high-water mark (reject -- overload must not grow
         the table) and the per-tenant byte budget (evict that tenant's
@@ -205,70 +271,98 @@ class FlowTable:
         if existing is not None:
             return existing
         if self._flow_count >= self.config.max_flows:
-            self.stats.flows_rejected += 1
-            if obs.TRACER.enabled:
-                obs.TRACER.emit("sidecar.flow_reject", now, tenant=tenant,
-                                flow=flow_id, flows=self._flow_count)
-                obs.count("flowtable_flows_rejected_total")
+            self._reject(tenant, flow_id, now)
             return None
-        if emitter is None:
-            emitter = QuackEmitter(self.config.threshold, self.config.bits,
-                                   flow=key)
-        else:
-            # The ledger keys on the tenant-qualified flow, so observe
-            # and emit hooks must account under the same name.
-            emitter.flow = key
-        bank = (emitter.quack.wire_size_bits() + 7) // 8
+        if threshold is None:
+            threshold = self.config.threshold
+        bank = bank_bytes(threshold, self.config.bits)
         budget = self._tenant_budget(tenant)
         while (self._tenant_bank.get(tenant, 0) + bank > budget
                and self._tenants.get(tenant)):
             self._remove(self._tenant_lru(tenant), "budget")
         if self._tenant_bank.get(tenant, 0) + bank > budget:
             # The newcomer alone does not fit the tenant's budget.
-            self.stats.flows_rejected += 1
-            if obs.TRACER.enabled:
-                obs.TRACER.emit("sidecar.flow_reject", now, tenant=tenant,
-                                flow=flow_id, flows=self._flow_count)
-                obs.count("flowtable_flows_rejected_total")
+            self._reject(tenant, flow_id, now)
             return None
-        record = FlowRecord(tenant, flow_id, emitter, bank, now,
-                            on_emit, on_evict)
+        record = FlowRecord(tenant, flow_id, self._take_row(threshold),
+                            threshold, bank,
+                            policy if policy is not None
+                            else self._default_policy,
+                            now, on_emit, on_evict)
         shard[key] = record
         self._tenants.setdefault(tenant, {})[key] = record
         self._tenant_bank[tenant] = self._tenant_bank.get(tenant, 0) + bank
+        heap = self._lru.get(tenant)
+        if heap is not None:
+            heapq.heappush(heap, _lru_entry(record))
         self._flow_count += 1
+        self._bank_bytes += bank
         self.stats.flows_admitted += 1
         self.stats.peak_flows = max(self.stats.peak_flows, self._flow_count)
         self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
-                                         self.total_bank_bytes())
+                                         self._bank_bytes)
         if obs.TRACER.enabled:
             obs.count("flowtable_flows_admitted_total")
         return record
+
+    def _take_row(self, threshold: int) -> int:
+        """A zeroed bank row at least ``threshold`` sums wide."""
+        bank = self._bank
+        if threshold > bank.threshold:
+            bank.resize(bank.num_flows, threshold)
+        if self._free_rows:
+            return self._free_rows.pop()
+        row = self._rows_used
+        self._rows_used += 1
+        if row == bank.num_flows:
+            bank.resize(2 * bank.num_flows)
+        return row
 
     # -- observation ------------------------------------------------------
 
     def observe(self, record: FlowRecord, identifier: int, *,
                 ctx: int | None = None) -> bool:
-        """Fold one identifier into ``record``'s bank.
+        """Queue one identifier for ``record``'s bank row.
 
         Returns False (a no-op) when the record was evicted: the caller
         keeps its handle, learns the flow lost assistance, and may
         re-admit.  Emission is *never* inline -- due flows wait for the
-        shared batch timer.
+        shared batch timer, which also folds the queued identifiers.
+        ``ctx`` is purely observational: when the datagram carried a
+        trace-context id, the middlebox observation point is recorded
+        as a ``sidecar.mb_observe`` lifecycle event.
         """
         if not record.live:
             return False
         now = self.sim.now
-        due = record.emitter.note(identifier, now, ctx=ctx,
-                                  flow=record.flow_key)
+        self._fold_rows.append(record.row)
+        self._fold_ids.append(identifier)
+        if obs.TRACER.enabled and ctx is not None:
+            obs.TRACER.emit("sidecar.mb_observe", now,
+                            flow=record.flow_key, ctx=ctx)
+        if FLOW_ACCOUNTS.armed:
+            FLOW_ACCOUNTS.on_observe(record.flow_key, record.bank_bytes)
+        record.pending += 1
         record.observed += 1
         record.last_activity = now
         self.stats.observations += 1
-        if due and not record.due:
+        if (record.policy.on_packet(record.pending, now, record.last_emit)
+                and not record.due):
             record.due = True
             record.due_since = now
             self._due.append(record)
         return True
+
+    def _fold(self) -> None:
+        """Fold every queued observation into the bank, in one pass."""
+        if not self._fold_rows:
+            return
+        started = PROFILER.begin("quack.power_sum_update")
+        self._bank.observe_batch(self._fold_rows, self._fold_ids)
+        self._fold_rows = []
+        self._fold_ids = []
+        if started:
+            PROFILER.end("quack.power_sum_update", started)
 
     # -- the shared emission timer ----------------------------------------
 
@@ -281,16 +375,28 @@ class FlowTable:
             self._shed(self.sim.now)
         self._batch_timer.rearm(self.config.batch_interval_s)
 
+    def emit(self, record: FlowRecord) -> PowerSumQuack:
+        """Emit ``record``'s frame now, outside the batch sweep."""
+        self._emitted(record, self.sim.now)
+        return self.snapshot(record)
+
+    def _emitted(self, record: FlowRecord, now: float) -> None:
+        record.pending = 0
+        record.last_emit = now
+        if FLOW_ACCOUNTS.armed:
+            FLOW_ACCOUNTS.on_emit(record.flow_key, record.bank_bytes)
+
     def flush(self) -> int:
         """Emit a frame for every due flow; returns frames produced."""
+        self._fold()
         now = self.sim.now
         due, self._due = self._due, []
         frames = 0
         for record in due:
             record.due = False
-            if not record.live or record.emitter.pending_packets == 0:
+            if not record.live or record.pending == 0:
                 continue
-            snapshot = record.emitter.emit(now)
+            self._emitted(record, now)
             # Coalescing delay: from the policy declaring the flow due
             # to the shared timer putting its frame on the wire.  The
             # SLO budget bounds this tail, not the policy's own wait.
@@ -301,7 +407,7 @@ class FlowTable:
                             latency, buckets=LATENCY_BUCKETS)
             frames += 1
             if record.on_emit is not None:
-                record.on_emit(snapshot, now)
+                record.on_emit(self.snapshot(record), now)
         if frames:
             self.stats.frames_batched += frames
             self.stats.batches += 1
@@ -311,24 +417,80 @@ class FlowTable:
                 obs.count("flowtable_frames_batched_total", frames)
         return frames
 
+    # -- per-row resets (the tap's epoch reset, crash restore) ------------
+
+    def reset_row(self, record: FlowRecord, threshold: int) -> None:
+        """Restart the flow's accumulator at ``threshold`` sums, as a
+        fresh emitter would: nothing pending, never emitted."""
+        self._fold()
+        if threshold != record.threshold:
+            self._tenant_bank[record.tenant] -= record.bank_bytes
+            self._bank_bytes -= record.bank_bytes
+            record.threshold = threshold
+            record.bank_bytes = bank_bytes(threshold, self.config.bits)
+            self._tenant_bank[record.tenant] += record.bank_bytes
+            self._bank_bytes += record.bank_bytes
+            self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
+                                             self._bank_bytes)
+            if threshold > self._bank.threshold:
+                self._bank.resize(self._bank.num_flows, threshold)
+        self._bank.reset_flow(record.row)
+        record.pending = 0
+        record.last_emit = 0.0
+        record.due = False
+
+    def load_row(self, record: FlowRecord, quack: PowerSumQuack) -> None:
+        """Overwrite the flow's row with a restored accumulator."""
+        self._fold()
+        self._bank.load(record.row, quack)
+
     # -- eviction / shedding / teardown -----------------------------------
 
     def _tenant_lru(self, tenant: str) -> FlowRecord:
-        records = self._tenants[tenant].values()
-        return min(records, key=lambda r: (r.last_activity, r.admitted_at,
-                                           r.flow_key))
+        """The tenant's least ``(last_activity, admitted_at, flow_key)``.
+
+        Heap entries are re-keyed lazily: ``last_activity`` only grows,
+        so an entry's key is never above its record's, and a popped
+        entry whose key went stale goes back in under the current one.
+        Entries of removed records are dropped as they surface.
+        """
+        heap = self._lru.get(tenant)
+        if heap is None:
+            heap = self._lru[tenant] = [
+                _lru_entry(r) for r in self._tenants[tenant].values()]
+            heapq.heapify(heap)
+        while True:
+            entry = heap[0]
+            record = entry[-1]
+            if not record.live:
+                heapq.heappop(heap)
+            elif entry[0] != record.last_activity:
+                heapq.heapreplace(heap, _lru_entry(record))
+            else:
+                return record
 
     def _remove(self, record: FlowRecord, reason: str) -> None:
+        # Queued identifiers of this row fold before the row is freed.
+        self._fold()
         record.live = False
-        self._shard(record.tenant).pop(record.flow_key, None)
-        tenant_records = self._tenants.get(record.tenant)
-        if tenant_records is not None:
-            tenant_records.pop(record.flow_key, None)
-            if not tenant_records:
-                del self._tenants[record.tenant]
-                del self._tenant_bank[record.tenant]
-            else:
-                self._tenant_bank[record.tenant] -= record.bank_bytes
+        tenant = record.tenant
+        self._shard(tenant).pop(record.flow_key, None)
+        tenant_records = self._tenants[tenant]
+        del tenant_records[record.flow_key]
+        if not tenant_records:
+            del self._tenants[tenant]
+            del self._tenant_bank[tenant]
+            self._lru.pop(tenant, None)
+        else:
+            self._tenant_bank[tenant] -= record.bank_bytes
+            heap = self._lru.get(tenant)
+            if heap is not None and len(heap) > 2 * len(tenant_records) + 16:
+                # Mostly dead entries: rebuild from the live records.
+                heap[:] = [_lru_entry(r) for r in tenant_records.values()]
+                heapq.heapify(heap)
+        self._bank.reset_flow(record.row)
+        self._free_rows.append(record.row)
+        self._bank_bytes -= record.bank_bytes
         self._flow_count -= 1
         if reason == "close":
             self.stats.flows_closed += 1
@@ -340,7 +502,7 @@ class FlowTable:
             FLOW_ACCOUNTS.forget(record.flow_key)
         if obs.TRACER.enabled:
             obs.TRACER.emit("sidecar.flow_evict", self.sim.now,
-                            tenant=record.tenant, flow=record.flow_id,
+                            tenant=tenant, flow=record.flow_id,
                             reason=reason)
             obs.count("flowtable_flows_evicted_total", reason=reason)
         if record.on_evict is not None and reason != "close":
@@ -411,7 +573,7 @@ class FlowTable:
         return {
             "flows": self._flow_count,
             "tenants": len(self._tenants),
-            "total_bank_bytes": self.total_bank_bytes(),
+            "total_bank_bytes": self._bank_bytes,
             "peak_flows": self.stats.peak_flows,
             "peak_bank_bytes": self.stats.peak_bank_bytes,
             "flows_admitted": self.stats.flows_admitted,
@@ -429,16 +591,20 @@ class FlowTable:
 
 
 class FlowTableTap(EmitterAgent):
-    """A router-bound emitter agent whose accumulator lives in a shared
-    flow table.
+    """A router-bound emitter agent whose accumulator is a row of a
+    shared flow table's bank.
 
     Observations route through :meth:`FlowTable.observe` (so budget
     accounting and LRU recency see them) and emission happens on the
-    table's shared batch timer, not inline.  When the table evicts this
-    flow the tap goes silent -- the sender's health ladder does the
-    rest -- and :meth:`rejoin` re-admits with a fresh accumulator,
-    healing through the server's count-regression detection into
-    ``RECOVERING`` probation.
+    table's shared batch timer, not inline.  Every agent path that
+    reads or replaces the accumulator -- the periodic tick, checkpoint,
+    epoch reset, crash restore, the negotiation count check -- goes to
+    the row.  When the table evicts this flow the tap goes silent --
+    the sender's health ladder does the rest -- and :meth:`rejoin`
+    re-admits with a fresh row, healing through the server's
+    count-regression detection into ``RECOVERING`` probation.  The
+    table holds one field width: the tap's ``bits`` must be the
+    table's.
     """
 
     def __init__(self, sim, router, peer: str, flow_id: str, policy, *,
@@ -449,9 +615,19 @@ class FlowTableTap(EmitterAgent):
         self.readmissions = 0
         self._record: FlowRecord | None = None
         super().__init__(sim, router, peer, flow_id, policy, **kwargs)
-        self._record = table.admit(tenant, flow_id, emitter=self.emitter,
-                                   on_emit=self._deliver,
-                                   on_evict=self._evicted)
+        self._record = self._admit()
+
+    def _check_bits(self) -> None:
+        if self.bits != self.table.config.bits:
+            raise ValueError(f"a {self.table.config.bits}-bit flow table "
+                             f"cannot hold a {self.bits}-bit quACK")
+
+    def _admit(self) -> FlowRecord | None:
+        self._check_bits()
+        return self.table.admit(self.tenant, self.flow_id,
+                                threshold=self.threshold, policy=self.policy,
+                                on_emit=self._deliver,
+                                on_evict=self._evicted)
 
     @property
     def assisted(self) -> bool:
@@ -459,10 +635,9 @@ class FlowTableTap(EmitterAgent):
         return self._record is not None and self._record.live
 
     def _on_data(self, packet) -> None:
-        if self._record is None or not self._record.live:
-            return  # evicted: assistance is gone, sender falls to e2e
-        self.table.observe(self._record, packet.identifier,
-                           ctx=packet.trace_ctx)
+        if self.assisted:  # evicted: assistance is gone, sender falls to e2e
+            self.table.observe(self._record, packet.identifier,
+                               ctx=packet.trace_ctx)
 
     def _deliver(self, snapshot, now: float) -> None:
         self._send(snapshot)
@@ -470,35 +645,42 @@ class FlowTableTap(EmitterAgent):
     def _evicted(self, reason: str) -> None:
         self.evictions += 1
 
+    # -- the accumulator is the table row --------------------------------
+
+    def _emit_pending(self):
+        if not self.assisted or not self._record.pending:
+            return None
+        return self.table.emit(self._record)
+
+    def _accumulator(self) -> PowerSumQuack:
+        if not self.assisted:
+            return PowerSumQuack(self.threshold, self.bits)
+        return self.table.snapshot(self._record)
+
+    def _fresh_accumulator(self) -> None:
+        if self.assisted:
+            self._check_bits()
+            self.table.reset_row(self._record, self.threshold)
+
+    def _restore_accumulator(self, quack: PowerSumQuack) -> None:
+        if self.assisted:
+            self.table.load_row(self._record, quack)
+
     def rejoin(self) -> bool:
         """Re-admit after eviction; False when still rejected.
 
-        The fresh accumulator makes the server see a count regression,
-        which heals through the ordinary implicit-reset path --
-        re-entry costs a handshake, never corruption.
+        The fresh row makes the server see a count regression, which
+        heals through the ordinary implicit-reset path -- re-entry
+        costs a handshake, never corruption.
         """
         if self.assisted:
             return True
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
-        record = self.table.admit(self.tenant, self.flow_id,
-                                  emitter=self.emitter,
-                                  on_emit=self._deliver,
-                                  on_evict=self._evicted)
+        record = self._admit()
         if record is None:
             return False
         self._record = record
         self.readmissions += 1
         return True
-
-    def _apply_reset(self, epoch: int) -> None:
-        super()._apply_reset(epoch)
-        # A reset replaced self.emitter; re-point the shared record at
-        # the fresh accumulator so batching keeps working.
-        if (self._record is not None and self._record.live
-                and self._record.emitter is not self.emitter):
-            self._record.emitter = self.emitter
-            self._record.due = False
 
     def fault_counters(self) -> dict:
         counters = super().fault_counters()
@@ -627,9 +809,7 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
 def _default_tenant_budget(flows: int, tenants: int,
                            threshold: int, bits: int) -> int:
     """Room for every flow of an evenly loaded tenant, doubled."""
-    probe = QuackEmitter(threshold, bits)
-    bank = (probe.quack.wire_size_bits() + 7) // 8
-    return max(1, bank * (-(-flows // tenants)) * 2)
+    return max(1, bank_bytes(threshold, bits) * (-(-flows // tenants)) * 2)
 
 
 def run_scale_spec(params: dict) -> dict:

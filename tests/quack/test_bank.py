@@ -161,3 +161,90 @@ class TestDecodePath:
         bank = QuackBank(7, threshold=3)
         assert len(bank) == 7
         assert "7 flows" in repr(bank)
+
+
+class TestBatchScalesWithTheBatch:
+    """``observe_batch`` touches only the rows in the batch."""
+
+    def test_duplicate_rows_interleaved_in_one_batch(self):
+        bank = QuackBank(5, threshold=4)
+        references = [PowerSumQuack(4) for _ in range(5)]
+        flows = [3, 1, 3, 3, 0, 1, 3]
+        ids = [11, 12, 13, 11, 2 ** 32 - 1, 12, 7]
+        bank.observe_batch(flows, ids)
+        for flow, identifier in zip(flows, ids):
+            references[flow].insert(identifier)
+        for flow in range(5):
+            assert bank.snapshot(flow) == references[flow]
+
+    def test_small_batch_on_a_100k_row_bank(self):
+        bank = QuackBank(100_000, threshold=5)
+        rng = random.Random(5)
+        flows = [rng.randrange(100_000) for _ in range(9)] + [99_999]
+        ids = [rng.getrandbits(32) for _ in range(10)]
+        bank.observe_batch(flows, ids)
+        references = {flow: PowerSumQuack(5) for flow in flows}
+        for flow, identifier in zip(flows, ids):
+            references[flow].insert(identifier)
+        for flow, reference in references.items():
+            assert bank.snapshot(flow) == reference
+        untouched = sorted(set(range(100_000)) - set(flows))
+        assert not bank._sums[untouched].any()
+        assert not bank._counts[untouched].any()
+
+    def test_grow_then_observe(self):
+        bank = QuackBank(2, threshold=3)
+        bank.observe_batch([0, 1], [5, 6])
+        bank.resize(300)
+        assert len(bank) == 300
+        bank.observe_batch([299, 0, 150], [7, 8, 9])
+        first, last, middle = (PowerSumQuack(3) for _ in range(3))
+        first.insert_many([5, 8])
+        last.insert(7)
+        middle.insert(9)
+        assert bank.snapshot(0) == first
+        assert bank.snapshot(299) == last
+        assert bank.snapshot(150) == middle
+        assert bank.count(1) == 1
+
+    def test_widen_keeps_the_low_sums(self):
+        bank = QuackBank(2, threshold=2)
+        bank.observe_batch([1], [9])
+        bank.resize(2, threshold=4)
+        bank.observe_batch([0, 1], [3, 4])
+        narrow = PowerSumQuack(2)
+        narrow.insert_many([9, 4])
+        wide = PowerSumQuack(4)
+        wide.insert(3)
+        assert bank.snapshot(1, threshold=2) == narrow
+        assert bank.snapshot(0) == wide
+
+    def test_resize_cannot_narrow(self):
+        bank = QuackBank(2, threshold=3)
+        with pytest.raises(ArithmeticDomainError):
+            bank.resize(2, threshold=2)
+        with pytest.raises(ArithmeticDomainError):
+            bank.resize(0)
+        with pytest.raises(ArithmeticDomainError):
+            bank.snapshot(0, threshold=4)
+
+
+class TestLoad:
+    def test_load_then_observe_matches_the_restored_quack(self):
+        bank = QuackBank(3, threshold=4)
+        bank.observe_batch([1, 1], [1, 2])
+        restored = PowerSumQuack(3)
+        restored.insert_many([40, 41])
+        bank.load(1, restored)
+        assert bank.snapshot(1, threshold=3) == restored
+        assert bank.power_sums(1)[3] == 0  # above the restored width
+        bank.observe_batch([1], [42])
+        restored.insert(42)
+        assert bank.snapshot(1, threshold=3) == restored
+
+    def test_load_rejects_an_incompatible_quack(self):
+        bank = QuackBank(1, threshold=2)
+        with pytest.raises(ArithmeticDomainError):
+            bank.load(0, PowerSumQuack(3))
+        with pytest.raises(ArithmeticDomainError):
+            bank.load(0, PowerSumQuack(2, bits=16))
